@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   // A single simulation, but still dispatched through the runner pool so the
   // bench exercises the same execution path as the multi-point harnesses.
   std::cout << "\nMeasured cross-check (matmul on 256-core TopHS):\n";
-  const ClusterConfig cfg = ClusterConfig::paper(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::paper("TopH", true);
   struct Measured {
     SnitchCore::Stats cs;
     EnergyBreakdown e;

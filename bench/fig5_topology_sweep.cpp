@@ -47,11 +47,11 @@ static int bench_main(int argc, char** argv) {
                                      0.25, 0.29, 0.33, 0.38, 0.42, 0.46, 0.50};
 
   SweepSpec spec;
-  spec.base.cluster = ClusterConfig::paper(Topology::kTop1, /*scrambling=*/false);
+  spec.base.cluster = ClusterConfig::paper("Top1", /*scrambling=*/false);
   spec.base.warmup_cycles = 1000;
   spec.base.measure_cycles = 4000;
   spec.base.drain_cycles = 2000;
-  spec.topologies = {Topology::kTop1, Topology::kTop4, Topology::kTopH};
+  spec.topologies = {"Top1", "Top4", "TopH"};
   spec.lambdas = loads;
   if (!opts.memory.empty()) spec.base.cluster.memory = MemorySpec{opts.memory};
   opts.apply_engine(&spec.base);

@@ -29,7 +29,7 @@ static int bench_main(int argc, char** argv) {
   const std::vector<double> plocals = {0.0, 0.25, 0.50, 1.00};
 
   SweepSpec spec;
-  spec.base.cluster = ClusterConfig::paper(Topology::kTopH, /*scrambling=*/true);
+  spec.base.cluster = ClusterConfig::paper("TopH", /*scrambling=*/true);
   spec.base.warmup_cycles = 1000;
   spec.base.measure_cycles = 4000;
   spec.base.drain_cycles = 2000;

@@ -29,8 +29,9 @@ using namespace mempool::runner;
 
 namespace {
 
-uint64_t run_one(Topology topo, bool scramble, const std::string& kernel,
-                 EngineMode engine, unsigned sim_threads) {
+uint64_t run_one(const std::string& topo, bool scramble,
+                 const std::string& kernel, EngineMode engine,
+                 unsigned sim_threads) {
   const ClusterConfig cfg = ClusterConfig::paper(topo, scramble);
   System sys(cfg);
   sys.configure_engine(engine, sim_threads);
@@ -51,7 +52,7 @@ uint64_t run_one(Topology topo, bool scramble, const std::string& kernel,
 
 struct Case {
   std::string kernel;
-  Topology topo;
+  std::string topo;
   bool scramble;
 };
 
@@ -65,12 +66,11 @@ int main(int argc, char** argv) {
                "full-crossbar baseline (256 cores, results verified)");
 
   const std::vector<std::string> kernels = {"matmul", "2dconv", "dct"};
-  const std::vector<Topology> topos = {Topology::kTop1, Topology::kTop4,
-                                       Topology::kTopH, Topology::kTopX};
+  const std::vector<std::string> topos = {"Top1", "Top4", "TopH", "TopX"};
 
   std::vector<Case> cases;
   for (const auto& k : kernels)
-    for (Topology t : topos)
+    for (const auto& t : topos)
       for (bool s : {false, true}) cases.push_back({k, t, s});
 
   ThreadPool pool(opts.threads);

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  ClusterConfig cfg = mini ? ClusterConfig::mini(Topology::kTopH, true)
-                           : ClusterConfig::paper(Topology::kTopH, true);
+  ClusterConfig cfg = mini ? ClusterConfig::mini("TopH", true)
+                           : ClusterConfig::paper("TopH", true);
   cfg.memory = MemorySpec{opts.memory.empty() ? "tcdm+l2" : opts.memory};
   if (!MemoryRegistry::get(cfg.memory.name).provides_dma()) {
     std::fprintf(stderr,

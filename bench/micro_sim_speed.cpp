@@ -10,10 +10,10 @@
 // benchmark suite. v3 adds absolute simulated cycles/sec per point and a
 // `paper_point` block (the 256-core TopH λ=0.05 fig5 point: active-engine
 // cycles/sec, cycles/sec/shard, and the sharded single-thread rate).
-// `--speedup_baseline=PATH` reads a committed v1/v2/v3 artifact
+// `--speedup_baseline=PATH` reads a committed v3 artifact
 // (runner::speedup_from_json) and exits non-zero when the measured
 // dense-to-active aggregate regressed more than 20% below it, or — against
-// a v3 baseline recorded on a comparable host — when the paper point's
+// a baseline recorded on a comparable host — when the paper point's
 // absolute cycles/sec dropped more than 20%. Sharded wall-clock numbers are
 // recorded for whatever parallelism the host actually has (host_cpus in the
 // artifact). `--profile` runs the paper point under each engine with
@@ -55,11 +55,11 @@ namespace {
 /// this host.
 void BM_ParallelSweep(benchmark::State& state) {
   runner::SweepSpec spec;
-  spec.base.cluster = ClusterConfig::paper(Topology::kTopH, false);
+  spec.base.cluster = ClusterConfig::paper("TopH", false);
   spec.base.warmup_cycles = 100;
   spec.base.measure_cycles = 500;
   spec.base.drain_cycles = 100;
-  spec.topologies = {Topology::kTop1, Topology::kTop4, Topology::kTopH};
+  spec.topologies = {"Top1", "Top4", "TopH"};
   spec.lambdas = {0.05, 0.15, 0.25, 0.35};
   runner::RunnerOptions opts;
   opts.threads = static_cast<unsigned>(state.range(0));
@@ -73,11 +73,15 @@ void BM_ParallelSweep(benchmark::State& state) {
       static_cast<double>(points), benchmark::Counter::kIsRate);
 }
 
-/// Traffic-point throughput per engine mode; range(2) selects dense (1) or
-/// activity-driven (0) so the two schedulers appear side by side in the
-/// benchmark table.
+/// Topologies BM_TrafficCycles indexes with range(0).
+constexpr const char* kTrafficTopologies[] = {"Top1", "TopH"};
+
+/// Traffic-point throughput per engine mode; range(0) indexes
+/// kTrafficTopologies and range(2) selects dense (1) or activity-driven (0)
+/// so the two schedulers appear side by side in the benchmark table.
 void BM_TrafficCycles(benchmark::State& state) {
-  const auto topo = static_cast<Topology>(state.range(0));
+  const char* topo = kTrafficTopologies[state.range(0)];
+  state.SetLabel(topo);
   TrafficExperimentConfig e;
   e.cluster = ClusterConfig::paper(topo, false);
   e.lambda = 0.2;
@@ -98,7 +102,7 @@ void BM_TrafficCycles(benchmark::State& state) {
 /// the full paper cluster, mostly-idle fabric.
 void BM_LowLoadCycles(benchmark::State& state) {
   TrafficExperimentConfig e;
-  e.cluster = ClusterConfig::paper(Topology::kTopH, false);
+  e.cluster = ClusterConfig::paper("TopH", false);
   e.lambda = 0.02;
   e.warmup_cycles = 100;
   e.measure_cycles = 2000;
@@ -115,7 +119,7 @@ void BM_LowLoadCycles(benchmark::State& state) {
 
 void BM_ExecutionCycles(benchmark::State& state) {
   // 256 Snitch cores spinning on an arithmetic loop.
-  const ClusterConfig cfg = ClusterConfig::paper(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::paper("TopH", true);
   const std::string src = R"(
     _start:
       li t0, 100000
@@ -163,7 +167,7 @@ double time_sharded_seconds(TrafficExperimentConfig cfg, unsigned sim_threads,
 /// excluded. This is the regime the paper's 5-cycle claim lives in and the
 /// activity-driven scheduler's best case: a handful of components act per
 /// cycle while the other ~1600 sleep.
-double time_zero_load_seconds(Topology topo, bool dense) {
+double time_zero_load_seconds(const char* topo, bool dense) {
   const ClusterConfig cfg = ClusterConfig::paper(topo, true);
   InstrMem imem(4096);
   Engine engine;
@@ -205,7 +209,7 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
   // stop being wall-clock-bound on one core" target (>= 3x over
   // single-thread active — achievable when the host has >= 4 cores to put
   // under the 4 group shards).
-  const std::vector<Topology> topos = {Topology::kTop1, Topology::kTopH};
+  const std::vector<const char*> topos = {"Top1", "TopH"};
   const std::vector<double> lambdas = {0.01, 0.02, 0.05};
   const std::vector<unsigned> sim_threads = {1, 2, 4, 8};
   Json points = Json::array();
@@ -218,7 +222,7 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
   std::printf("%-10s %-6s %8s %12s %12s %8s %12s  %s\n", "workload", "topo",
               "lambda", "dense_s", "active_s", "speedup", "active_cps",
               "sharded_s (1/2/4/8 threads)");
-  auto report = [&](const char* workload, Topology topo, double lambda,
+  auto report = [&](const char* workload, const char* topo, double lambda,
                     uint64_t sim_cycles, double dense_s, double active_s,
                     const std::vector<double>& sharded_s) {
     const double speedup = dense_s / active_s;
@@ -228,11 +232,11 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
     dense_total += dense_s;
     active_total += active_s;
     std::printf("%-10s %-6s %8.3f %12.6f %12.6f %7.2fx %12.0f ", workload,
-                topology_name(topo), lambda, dense_s, active_s, speedup,
+                topo, lambda, dense_s, active_s, speedup,
                 active_cps);
     Json rec = Json::object();
     rec.set("workload", workload);
-    rec.set("topology", topology_name(topo));
+    rec.set("topology", topo);
     rec.set("lambda", lambda);
     rec.set("dense_seconds", dense_s);
     rec.set("active_seconds", active_s);
@@ -271,7 +275,7 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
     points.push_back(std::move(rec));
   };
   uint32_t paper_shards = 1;
-  for (Topology topo : topos) {
+  for (const char* topo : topos) {
     report("zero_load", topo, 0.0, 0, time_zero_load_seconds(topo, true),
            time_zero_load_seconds(topo, false), {});
     for (double lambda : lambdas) {
@@ -295,7 +299,7 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
           sharded_s.push_back(time_sharded_seconds(cfg, t, 2));
         }
       }
-      if (topo == Topology::kTopH && lambda == 0.05) {
+      if (std::strcmp(topo, "TopH") == 0 && lambda == 0.05) {
         paper_shards = plugin.num_shards(cfg.cluster);
         paper_cps = static_cast<double>(sim_cycles) / active_s;
         paper_cps_per_shard = paper_cps / paper_shards;
@@ -335,7 +339,7 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
     // v3: the absolute-rate block the perf gate keys on. Kept flat and
     // separate from `points` so readers need no per-point search.
     Json paper = Json::object();
-    paper.set("topology", topology_name(Topology::kTopH));
+    paper.set("topology", "TopH");
     paper.set("lambda", 0.05);
     paper.set("num_shards", paper_shards);
     paper.set("cycles_per_second", paper_cps);
@@ -347,11 +351,11 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
     std::fprintf(stderr, "speedup results written to %s\n", json_path.c_str());
   }
   if (!baseline_path.empty()) {
-    // CI perf smoke: compare against the committed baseline artifact (v1,
-    // v2, or v3 — runner::speedup_from_json reads all three). Two gates:
+    // CI perf smoke: compare against the committed baseline artifact
+    // (runner::speedup_from_json). Two gates:
     //  1. The dense-to-active aggregate — a ratio of two runs on the same
     //     machine, comparable across hosts.
-    //  2. Against a v3 baseline only: the paper point's absolute cycles/sec.
+    //  2. The paper point's absolute cycles/sec.
     //     Wall-clock-based, so the committed baseline must come from the CI
     //     host class; the 20% margin absorbs normal runner noise.
     // Sharded wall-clock depends on host core count and is reported, not
@@ -396,7 +400,7 @@ int run_speedup(const std::string& json_path, const std::string& baseline_path) 
 /// on the engine before stepping.
 void profile_mode(const char* label, EngineMode mode, unsigned sim_threads) {
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::paper(Topology::kTopH, false);
+  cfg.cluster = ClusterConfig::paper("TopH", false);
   cfg.lambda = 0.05;
   cfg.engine = mode;
   cfg.sim_threads = sim_threads;
@@ -426,11 +430,11 @@ void profile_mode(const char* label, EngineMode mode, unsigned sim_threads) {
   cluster.attach_clients(clients);
   cluster.build(engine);
 
-  std::unique_ptr<runner::ShardCrew> crew;
+  std::unique_ptr<runner::ShardGang> gang;
   if (mode == EngineMode::kSharded) {
-    crew = std::make_unique<runner::ShardCrew>(sim_threads,
+    gang = std::make_unique<runner::ShardGang>(sim_threads,
                                                cluster.num_shards());
-    engine.set_sharded(cluster.num_shards(), crew->executor());
+    engine.set_sharded(cluster.num_shards(), gang.get());
   }
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -467,10 +471,10 @@ void run_profile() {
 }  // namespace
 
 BENCHMARK(BM_TrafficCycles)
-    ->Args({static_cast<int>(Topology::kTop1), 2000, 0})
-    ->Args({static_cast<int>(Topology::kTop1), 2000, 1})
-    ->Args({static_cast<int>(Topology::kTopH), 2000, 0})
-    ->Args({static_cast<int>(Topology::kTopH), 2000, 1})
+    ->Args({0, 2000, 0})
+    ->Args({0, 2000, 1})
+    ->Args({1, 2000, 0})
+    ->Args({1, 2000, 1})
     ->Iterations(3)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LowLoadCycles)->Arg(0)->Arg(1)->Iterations(3)->Unit(

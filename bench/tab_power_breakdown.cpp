@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   print_banner(std::cout,
                "T5 — power breakdown, matmul on 256-core TopHS @ 500 MHz");
 
-  const ClusterConfig cfg = ClusterConfig::paper(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::paper("TopH", true);
   const EnergyModel model;
 
   struct Measured {

@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
   print_banner(std::cout,
                "T1 — zero-load access latency (cycles), 256-core cluster");
 
-  std::vector<TopologySpec> topos = {Topology::kTop1, Topology::kTop4,
-                                     Topology::kTopH, Topology::kTopX};
+  std::vector<TopologySpec> topos = {"Top1", "Top4",
+                                     "TopH", "TopX"};
   if (!opts.topology.empty()) topos = {TopologySpec{opts.topology}};
 
   runner::ThreadPool pool(opts.threads);

@@ -16,7 +16,7 @@
 using namespace mempool;
 
 int main() {
-  const ClusterConfig cfg = ClusterConfig::paper(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::paper("TopH", true);
   System sys(cfg);
 
   constexpr uint32_t kN = 4096;          // vector length (16 elems per core)

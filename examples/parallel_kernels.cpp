@@ -25,7 +25,7 @@
 using namespace mempool;
 
 int main(int argc, char** argv) {
-  TopologySpec topo = Topology::kTopH;
+  TopologySpec topo = "TopH";
   bool scramble = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "noscramble") == 0) {

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   // interconnect, hybrid addressing (scrambling) enabled. The memory system
   // is an open axis: "tcdm" is the paper's flat L1, "tcdm+l2" adds the L2 +
   // per-group DMA of the journal paper.
-  ClusterConfig cfg = ClusterConfig::paper(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::paper("TopH", true);
   cfg.memory = MemorySpec{memory};
   cfg.validate();
   System sys(cfg);

@@ -27,8 +27,8 @@ void show_walk(const MemoryLayout& layout, uint32_t base, uint32_t words,
 }  // namespace
 
 int main() {
-  const ClusterConfig off_cfg = ClusterConfig::paper(Topology::kTopH, false);
-  const ClusterConfig on_cfg = ClusterConfig::paper(Topology::kTopH, true);
+  const ClusterConfig off_cfg = ClusterConfig::paper("TopH", false);
+  const ClusterConfig on_cfg = ClusterConfig::paper("TopH", true);
   const MemoryLayout off(off_cfg), on(on_cfg);
 
   std::printf("MemPool hybrid addressing scheme demo\n");

@@ -45,7 +45,7 @@ static int bench_main(int argc, char** argv) {
                                           /*accepts_memory=*/true,
                                           /*accepts_checkpoint=*/true);
 
-  TopologySpec topo = Topology::kTopH;
+  TopologySpec topo = "TopH";
   int pos = 1;  // next positional argument
   if (!opts.topology.empty()) {
     topo = TopologySpec{opts.topology};

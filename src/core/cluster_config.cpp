@@ -7,27 +7,6 @@
 
 namespace mempool {
 
-const char* topology_name(Topology t) {
-  switch (t) {
-    case Topology::kTop1: return "Top1";
-    case Topology::kTop4: return "Top4";
-    case Topology::kTopH: return "TopH";
-    case Topology::kTopX: return "TopX";
-  }
-  return "?";
-}
-
-bool topology_from_name(const std::string& name, Topology* out) {
-  for (Topology t : {Topology::kTop1, Topology::kTop4, Topology::kTopH,
-                     Topology::kTopX}) {
-    if (name == topology_name(t)) {
-      *out = t;
-      return true;
-    }
-  }
-  return false;
-}
-
 uint64_t MemorySpec::param_uint(const std::string& key,
                                 uint64_t fallback) const {
   const auto it = params.find(key);

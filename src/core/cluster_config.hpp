@@ -7,8 +7,7 @@
 // fabric-topology plugin by TopologySpec and every topology-specific decision
 // (tile port shape, network construction, zero-load model, physical wiring,
 // energy rows, validation) is dispatched through the FabricTopology interface
-// (noc/fabric.hpp). The legacy `Topology` enum survives only as a thin compat
-// alias that converts to the spec of the matching built-in plugin.
+// (noc/fabric.hpp).
 
 #include <cstdint>
 #include <map>
@@ -19,27 +18,8 @@
 
 namespace mempool {
 
-/// Legacy closed enumeration of the paper's topologies (Sections III-C/V-C).
-/// Kept as a compatibility alias: a Topology converts implicitly to the
-/// TopologySpec of the corresponding built-in plugin, so pre-registry call
-/// sites (`ClusterConfig::paper(Topology::kTopH, ...)`) keep compiling. New
-/// code — and every non-paper topology, e.g. "TopH2" — uses TopologySpec.
-enum class Topology : uint8_t {
-  kTop1,  ///< Single 64×64 radix-4 butterfly; one master port per tile.
-  kTop4,  ///< Four parallel butterflies; one dedicated port per core.
-  kTopH,  ///< Hierarchical: per-group 16×16 crossbar + inter-group butterflies.
-  kTopX,  ///< Ideal single-cycle conflict-free crossbar (baseline only).
-};
-
-const char* topology_name(Topology t);
-
-/// Inverse of topology_name ("Top1"/"Top4"/"TopH"/"TopX"); returns false and
-/// leaves @p out untouched on an unknown name. Only resolves the four legacy
-/// enumerators — registry lookups (FabricRegistry::find) cover every plugin.
-bool topology_from_name(const std::string& name, Topology* out);
-
 /// Names a fabric-topology plugin and carries its free-form parameters
-/// (serialized verbatim into the mempool.sweep.v2 schema). Parameter keys
+/// (serialized verbatim into the mempool.sweep.v3 schema). Parameter keys
 /// are validated against FabricTopology::param_keys() in
 /// ClusterConfig::validate(): unknown or ill-typed parameters throw there,
 /// not deep inside cluster construction.
@@ -48,8 +28,6 @@ struct TopologySpec {
   std::map<std::string, Json> params;
 
   TopologySpec() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): legacy-enum compat alias.
-  TopologySpec(Topology t) : name(topology_name(t)) {}
   // NOLINTNEXTLINE(google-explicit-constructor)
   TopologySpec(const char* n) : name(n) {}
   // NOLINTNEXTLINE(google-explicit-constructor)
@@ -63,10 +41,6 @@ struct TopologySpec {
 
   bool operator==(const TopologySpec&) const = default;
 };
-
-inline const std::string& topology_name(const TopologySpec& s) {
-  return s.name;
-}
 
 /// Names a memory-system plugin (mem/memsys.hpp) and carries its free-form
 /// parameters (serialized verbatim into the mempool.sweep.v3 schema), the

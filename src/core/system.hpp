@@ -16,7 +16,7 @@
 #include "sim/shard.hpp"
 
 namespace mempool::runner {
-class ShardCrew;
+class ShardGang;
 }  // namespace mempool::runner
 
 namespace mempool {
@@ -28,7 +28,7 @@ class System {
 
   /// Select the scheduler stepping this system (default: active). Sharded
   /// mode partitions the cluster along the fabric's groups and steps the
-  /// shards on @p sim_threads threads (leader + pool helpers owned by the
+  /// shards on @p sim_threads threads (leader + helper threads owned by the
   /// system), bit-identically to the sequential engines. Must be called
   /// before the first run().
   void configure_engine(EngineMode mode, unsigned sim_threads = 1);
@@ -72,7 +72,7 @@ class System {
   ClusterConfig cfg_;
   InstrMem imem_;
   std::unique_ptr<Cluster> cluster_;
-  std::unique_ptr<runner::ShardCrew> crew_;  // configure_engine(kSharded)
+  std::unique_ptr<runner::ShardGang> gang_;  // configure_engine(kSharded)
   Engine engine_;
   std::vector<isa::Instr> decoded_;
   uint32_t program_base_ = InstrMem::kBase;

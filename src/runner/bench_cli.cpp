@@ -37,7 +37,6 @@ namespace {
                "  --engine MODE      active (default) | dense | sharded — "
                "bit-identical\n"
                "                     results, different wall-clock\n"
-               "  --dense            alias for --engine dense\n"
                "  --json PATH        results file (default: %s.results.json)\n"
                "  --no-json          do not write a results file\n"
                "  --quiet            no stderr progress ticker\n"
@@ -236,8 +235,6 @@ BenchOptions parse_bench_options(int* argc, char** argv,
       opts.json_path.clear();
     } else if (std::strcmp(a, "--quiet") == 0) {
       opts.progress = false;
-    } else if (std::strcmp(a, "--dense") == 0) {
-      opts.engine = EngineMode::kDense;
     } else if (std::strcmp(a, "--topology") == 0) {
       if (!accepts_topology) {
         std::fprintf(stderr,

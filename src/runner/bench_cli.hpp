@@ -9,7 +9,6 @@
 //                       default 1)
 //   --engine MODE       active (default) | dense | sharded; all three are
 //                       bit-identical, only wall-clock differs
-//   --dense             legacy alias for --engine dense
 //   --json PATH         results file path (default: <bench>.results.json)
 //   --no-json           disable the results file
 //   --quiet             suppress the stderr progress ticker
@@ -71,7 +70,7 @@ struct BenchOptions {
   unsigned threads = 0;     ///< Sweep workers; 0 = ThreadPool::default_threads().
   std::string json_path;    ///< Empty = results file disabled.
   bool progress = true;
-  /// --engine / --dense: which scheduler steps each simulation point.
+  /// --engine: which scheduler steps each simulation point.
   EngineMode engine = EngineMode::kActive;
   /// --sim-threads: engine threads per point (sharded engine only).
   unsigned sim_threads = 1;

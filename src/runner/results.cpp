@@ -20,9 +20,8 @@ Json sweep_to_json(const SweepResult& result) {
     const TrafficExperimentConfig& cfg = result.configs[i];
     const TrafficPoint& p = result.points[i];
     Json rec = Json::object();
-    // v2: the topology is a self-describing {name, params} spec, so plugin
-    // parameters survive the round trip verbatim. v3 mirrors it for the
-    // memory system.
+    // The topology and the memory system are self-describing {name, params}
+    // specs, so plugin parameters survive the round trip verbatim.
     Json topo = Json::object();
     topo.set("name", cfg.cluster.topology.name);
     Json params = Json::object();
@@ -67,27 +66,20 @@ Json sweep_to_json(const SweepResult& result) {
 
 SweepResult sweep_from_json(const Json& j) {
   const std::string schema = j.get("schema", Json("")).as_string();
-  MEMPOOL_CHECK_MSG(schema == "mempool.sweep.v3" ||
-                        schema == "mempool.sweep.v2" ||
-                        schema == "mempool.sweep.v1",
-                    "not a mempool.sweep.v1/v2/v3 document (schema '"
-                        << schema << "')");
+  MEMPOOL_CHECK_MSG(schema == "mempool.sweep.v3",
+                    "not a mempool.sweep.v3 document (schema '" << schema
+                                                              << "')");
   SweepResult result;
   result.threads = static_cast<unsigned>(j.at("threads").as_uint());
   result.wall_seconds = j.at("wall_seconds").as_double();
   for (const Json& rec : j.at("points").items()) {
     TrafficExperimentConfig cfg;
-    // v1 wrote the topology as a bare name string; v2 as {name, params}.
     const Json& topo = rec.at("topology");
     TopologySpec spec;
-    if (topo.type() == Json::Type::kString) {
-      spec.name = topo.as_string();
-    } else {
-      spec.name = topo.at("name").as_string();
-      const Json params = topo.get("params", Json::object());
-      for (const auto& [k, v] : params.members()) {
-        spec.params[k] = v;
-      }
+    spec.name = topo.at("name").as_string();
+    const Json params = topo.get("params", Json::object());
+    for (const auto& [k, v] : params.members()) {
+      spec.params[k] = v;
     }
     // Resolve against the registry here so a stale document fails with the
     // list of available plugins instead of deep in cluster construction.
@@ -95,22 +87,18 @@ SweepResult sweep_from_json(const Json& j) {
                       "unknown topology '" << spec.name << "'; available: "
                                            << FabricRegistry::available());
     cfg.cluster.topology = std::move(spec);
-    // v3 adds the memory system as a {name, params} spec; v1/v2 documents
-    // predate the memory registry and mean the default tcdm.
-    if (const Json mem = rec.get("memory", Json());
-        mem.type() == Json::Type::kObject) {
-      MemorySpec mspec;
-      mspec.name = mem.at("name").as_string();
-      const Json mparams = mem.get("params", Json::object());
-      for (const auto& [k, v] : mparams.members()) {
-        mspec.params[k] = v;
-      }
-      MEMPOOL_CHECK_MSG(MemoryRegistry::find(mspec.name) != nullptr,
-                        "unknown memory system '"
-                            << mspec.name << "'; available: "
-                            << MemoryRegistry::available());
-      cfg.cluster.memory = std::move(mspec);
+    const Json& mem = rec.at("memory");
+    MemorySpec mspec;
+    mspec.name = mem.at("name").as_string();
+    const Json mparams = mem.get("params", Json::object());
+    for (const auto& [k, v] : mparams.members()) {
+      mspec.params[k] = v;
     }
+    MEMPOOL_CHECK_MSG(MemoryRegistry::find(mspec.name) != nullptr,
+                      "unknown memory system '"
+                          << mspec.name << "'; available: "
+                          << MemoryRegistry::available());
+    cfg.cluster.memory = std::move(mspec);
     cfg.cluster.scrambling = rec.at("scrambling").as_bool();
     cfg.cluster.num_tiles =
         static_cast<uint32_t>(rec.at("num_tiles").as_uint());
@@ -132,10 +120,9 @@ SweepResult sweep_from_json(const Json& j) {
     cfg.lambda = rec.at("lambda").as_double();
     cfg.p_local_seq = rec.at("p_local").as_double();
     cfg.seed = rec.at("seed").as_uint();
-    // Optional (absent in pre-scheduler documents): which engine produced the
-    // point. All engines produce bit-identical physics; recorded for
-    // provenance.
-    const std::string engine = rec.get("engine", Json("active")).as_string();
+    // Which engine produced the point. All engines produce bit-identical
+    // physics; recorded for provenance.
+    const std::string engine = rec.at("engine").as_string();
     MEMPOOL_CHECK_MSG(engine_mode_from_name(engine, &cfg.engine),
                       "unknown engine '" << engine << "'; available: "
                                          << engine_mode_available());
@@ -162,24 +149,18 @@ SweepResult sweep_from_json(const Json& j) {
 SpeedupSummary speedup_from_json(const Json& j) {
   SpeedupSummary s;
   s.schema = j.get("schema", Json("")).as_string();
-  MEMPOOL_CHECK_MSG(s.schema == "mempool.speedup.v1" ||
-                        s.schema == "mempool.speedup.v2" ||
-                        s.schema == "mempool.speedup.v3",
-                    "not a mempool.speedup.v1/v2/v3 document (schema '"
-                        << s.schema << "')");
+  MEMPOOL_CHECK_MSG(s.schema == "mempool.speedup.v3",
+                    "not a mempool.speedup.v3 document (schema '" << s.schema
+                                                                << "')");
   s.aggregate_speedup = j.at("aggregate_speedup").as_double();
   s.min_speedup = j.at("min_speedup").as_double();
-  if (s.schema != "mempool.speedup.v1") {
-    s.aggregate_sharded_speedup = j.at("aggregate_sharded_speedup").as_double();
-  }
-  if (s.schema == "mempool.speedup.v3") {
-    const Json& paper = j.at("paper_point");
-    s.paper_cycles_per_second = paper.at("cycles_per_second").as_double();
-    s.paper_cycles_per_second_per_shard =
-        paper.at("cycles_per_second_per_shard").as_double();
-    s.paper_sharded_1t_cycles_per_second =
-        paper.at("sharded_1t_cycles_per_second").as_double();
-  }
+  s.aggregate_sharded_speedup = j.at("aggregate_sharded_speedup").as_double();
+  const Json& paper = j.at("paper_point");
+  s.paper_cycles_per_second = paper.at("cycles_per_second").as_double();
+  s.paper_cycles_per_second_per_shard =
+      paper.at("cycles_per_second_per_shard").as_double();
+  s.paper_sharded_1t_cycles_per_second =
+      paper.at("sharded_1t_cycles_per_second").as_double();
   s.num_points = j.at("points").items().size();
   return s;
 }

@@ -16,9 +16,7 @@
 // (or as a named sub-object): one record per point carrying the full config
 // axes and the measured TrafficPoint, so trajectories are self-describing.
 // The topology and the memory system are self-describing `{name, params}`
-// specs resolved against their registries on read; v2 documents (no
-// "memory" member — implies tcdm) and v1 documents (bare topology name
-// strings) are still accepted by sweep_from_json:
+// specs resolved against their registries on read:
 //
 //   {
 //     "schema": "mempool.sweep.v3",
@@ -30,7 +28,7 @@
 //        "scrambling": false, "num_tiles": 64,
 //        "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
 //        "seq_region_bytes": 4096, "num_groups": 4,
-//        "lambda": 0.33, "p_local": 0.25, "seed": 1,
+//        "lambda": 0.33, "p_local": 0.25, "seed": 1, "engine": "active",
 //        "warmup_cycles": 1000, "measure_cycles": 4000, "drain_cycles": 2000,
 //        "offered": 0.33, "generated": 0.331, "accepted": 0.329,
 //        "avg_latency": 5.9, "p95_latency": 11.0, "max_latency": 55.0,
@@ -53,25 +51,24 @@ namespace mempool::runner {
 /// Serialize a sweep result (schema mempool.sweep.v3).
 Json sweep_to_json(const SweepResult& result);
 
-/// Inverse of sweep_to_json; also reads legacy mempool.sweep.v1/v2
-/// documents. Throws CheckError on schema violations and unknown topology /
-/// memory-system names (the error lists the registered plugins).
+/// Inverse of sweep_to_json. Throws CheckError on schema violations and
+/// unknown topology / memory-system / engine names (the error lists the
+/// registered ones).
 SweepResult sweep_from_json(const Json& j);
 
-/// Parsed scheduler-speedup artifact (micro_sim_speed --speedup_json).
-/// mempool.speedup.v2 adds the sharded-engine axis; v3 adds the paper-point
-/// absolute rate block (256-core TopH λ=0.05: simulated cycles per wall-clock
-/// second). Older documents are still read — fields their schema lacks stay
-/// 0 — so the CI perf gate can compare any PR against any committed baseline.
+/// Parsed scheduler-speedup artifact (micro_sim_speed --speedup_json,
+/// schema mempool.speedup.v3): engine-speedup ratios plus the paper-point
+/// absolute rate block (256-core TopH λ=0.05: simulated cycles per
+/// wall-clock second) the CI perf gate compares against.
 struct SpeedupSummary {
   std::string schema;
   /// Wall-clock of the dense oracle over the activity-driven engine, summed
-  /// across the workload set (all schema versions).
+  /// across the workload set.
   double aggregate_speedup = 0;
   double min_speedup = 0;
-  /// v2+: single-thread active over the best sharded configuration.
+  /// Single-thread active over the best sharded configuration.
   double aggregate_sharded_speedup = 0;
-  /// v3: absolute active-engine rate at the paper point, plus the same rate
+  /// Absolute active-engine rate at the paper point, plus the same rate
   /// normalized per fabric shard and the sharded engine's single-thread rate.
   /// Host-dependent (wall-clock), unlike the ratios above.
   double paper_cycles_per_second = 0;
@@ -80,8 +77,7 @@ struct SpeedupSummary {
   std::size_t num_points = 0;
 };
 
-/// Read a mempool.speedup.v1, .v2, or .v3 document; throws CheckError on
-/// anything else.
+/// Read a mempool.speedup.v3 document; throws CheckError on anything else.
 SpeedupSummary speedup_from_json(const Json& j);
 
 /// Wrap bench-specific results in the mempool.bench.v1 envelope.

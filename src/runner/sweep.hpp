@@ -25,8 +25,8 @@ struct SweepSpec {
 
   // Axes. An empty axis means "keep the base config's value" and contributes
   // a factor of 1 to the grid. The topology axis carries full TopologySpecs
-  // ({name, params}); legacy Topology enumerators convert implicitly, so
-  // `spec.topologies = {Topology::kTop1, "TopH2"}` mixes freely.
+  // ({name, params}); plugin names convert implicitly, so
+  // `spec.topologies = {"Top1", TopologySpec{"TopH2", {...}}}` mixes freely.
   std::vector<TopologySpec> topologies;
   /// Memory-system axis ({name, params} specs resolved against the
   /// MemoryRegistry); empty = keep the base config's memory system.

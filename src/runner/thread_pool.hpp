@@ -11,14 +11,13 @@
 // Simulation points are independent, so "drain everything, then report the
 // first failure" is the semantics every caller wants.
 //
-// Idle behavior (matters for barrier workloads like the sharded engine's
-// ShardGang, whose helper tasks live on this pool): a worker that finds all
-// deques empty re-polls with a short *bounded* spin — work arriving within a
-// few microseconds (the next simulated cycle) is picked up without a futex
-// round trip — and then parks on the work condition variable until the next
-// submit. A pool hosting a mostly-idle sharded run therefore burns one core,
-// not num_threads() cores; tests/test_runner_pool.cpp pins this via
-// parked_workers().
+// The pool runs whole simulation points (sweeps, the simulation service);
+// the sharded engine's per-cycle barrier has its own threads
+// (runner::ShardGang). Idle behavior: a worker that finds all deques empty
+// re-polls with a short *bounded* spin — work arriving within a few
+// microseconds is picked up without a futex round trip — and then parks on
+// the work condition variable until the next submit, so an idle pool burns
+// no cores; tests/test_runner_pool.cpp pins this via parked_workers().
 
 #include <atomic>
 #include <condition_variable>

@@ -1,22 +1,106 @@
-// Out-of-line engine machinery: shard finalization and the sharded cycle
-// loop. See sim/shard.hpp for the partitioning/determinism story.
+// Out-of-line engine machinery: lane layout and the cycle loop. See
+// sim/shard.hpp for the lane structure and the determinism story.
 
 #include "sim/engine.hpp"
 
-#include <cstring>
+#include <bit>
+#include <chrono>
 #include <sstream>
 #include <unordered_map>
+
+#if defined(MEMPOOL_DRC)
+#include "sim/drc_runtime.hpp"
+#endif
 
 namespace mempool {
 
 namespace {
-/// Cycles whose previous cycle evaluated fewer components than this are
-/// stepped inline on the calling thread: dispatching two phases to the
+/// Cycles whose previous cycle evaluated fewer components than this step
+/// their lanes inline on the calling thread: dispatching two phases to the
 /// executor costs on the order of a microsecond of barrier traffic, which
 /// light cycles (a mostly-idle cluster between Poisson arrivals) can never
 /// amortize. The choice depends only on simulation state — never on thread
 /// timing — so it cannot perturb results.
 constexpr uint64_t kDispatchThreshold = 64;
+
+uint64_t prof_now_ns() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Set the low @p n bits of the bitset starting at @p words (dense mode:
+/// every slot of a lane segment; the bits past n are padding and stay 0).
+void set_low_bits(uint64_t* words, std::size_t n) {
+  for (; n >= 64; n -= 64) *words++ = ~uint64_t{0};
+  if (n != 0) *words = (uint64_t{1} << n) - 1;
+}
+
+/// Evaluate the awake components of @p lane (its flag words of @p words) at
+/// @p cycle, putting the ones that report idle() to sleep — unless @p dense:
+/// dense mode re-wakes every slot each cycle, so the idle() probe would be
+/// pure overhead. MEMPOOL_DRC only: each evaluation is tagged with its
+/// component's shard — @p slot_shards[slot] when non-null (the sequential
+/// lane, whose slots are the registration order), else the lane id. Plain
+/// builds ignore it.
+bool scan_lane(ShardLane& lane, uint64_t* words, uint64_t cycle, bool dense,
+               [[maybe_unused]] const uint32_t* slot_shards) {
+  Component* const* slots = lane.slots.data();
+  const std::size_t begin = lane.word_begin;
+  const std::size_t end = lane.word_end;
+  uint64_t evaluations = 0;
+  for (std::size_t w = begin; w < end; ++w) {
+    // Process set bits in ascending component order, re-reading the word
+    // after every evaluation: a component may wake a LATER one in this same
+    // word via a combinational push (must be seen this cycle), while a
+    // backward wake (e.g. an I$ miss arming the earlier-phase refill engine)
+    // stays pending for the next cycle — exactly what one in-order sweep
+    // over every component observes.
+    uint64_t visited = 0;  // bit b and everything below, once processed
+    uint64_t m;
+    while ((m = words[w] & ~visited) != 0) {
+      const unsigned b = std::countr_zero(m);
+      const uint64_t bit = 1ull << b;
+      visited |= bit | (bit - 1);
+      const std::size_t k = (w - begin) * 64 + b;
+      Component* c = slots[k];
+      {
+#if defined(MEMPOOL_DRC)
+        const drc::EvalShardScope drc_scope(static_cast<int32_t>(
+            slot_shards != nullptr ? slot_shards[k] : lane.id));
+#endif
+        c->evaluate(cycle);
+      }
+      ++evaluations;
+      if (!dense && c->idle()) c->sleep();
+    }
+  }
+  lane.evaluations += evaluations;
+  return evaluations != 0;
+}
+
+/// Commit the clocked elements behind set dirty bits of words
+/// [@p begin, @p end), in ascending slot order (bit-identical to the
+/// historical push-order queue — see Clocked's class comment). Each word is
+/// cleared before its bits are walked; commit() never re-marks, so the
+/// bitset is clean afterwards. Returns the number of commits.
+uint64_t commit_scan(uint64_t* words, std::size_t begin, std::size_t end,
+                     Clocked* const* slots) {
+  uint64_t n = 0;
+  for (std::size_t w = begin; w < end; ++w) {
+    uint64_t m = words[w];
+    if (m == 0) continue;
+    words[w] = 0;
+    do {
+      const unsigned b = std::countr_zero(m);
+      m &= m - 1;
+      slots[(w - begin) * 64 + b]->commit();
+      ++n;
+    } while (m != 0);
+  }
+  return n;
+}
 }  // namespace
 
 const char* engine_mode_name(EngineMode m) {
@@ -94,93 +178,77 @@ struct BoundaryScan final : GraphVisitor {
 
 void Engine::finalize() {
   finalized_ = true;
-  if (num_shards_ == 0) {
-    flags_.assign((components_.size() + 63u) / 64u, 0);
+  const uint32_t S = sharded() ? num_shards_ : 1;
+  if (sharded()) {
     for (std::size_t i = 0; i < components_.size(); ++i) {
-      components_[i]->bind_activity_slot(&flags_[i / 64],
-                                         static_cast<unsigned>(i % 64));
+      MEMPOOL_CHECK_MSG(component_shard_[i] < S,
+                        "component '" << components_[i]->name()
+                                      << "' assigned to shard "
+                                      << component_shard_[i] << " of " << S);
     }
-    dirty_.assign((clocked_.size() + 63u) / 64u, 0);
-    commit_slots_.assign(dirty_.size() * 64u, nullptr);
-    dirty_pending_ = 0;  // bind_commit_slot re-adds pre-finalize staging
     for (std::size_t i = 0; i < clocked_.size(); ++i) {
-      commit_slots_[i] = clocked_[i];
-      clocked_[i]->bind_commit_slot(&dirty_[i / 64],
-                                    static_cast<unsigned>(i % 64),
-                                    &dirty_pending_);
+      MEMPOOL_CHECK_MSG(clocked_shard_[i] < S,
+                        "clocked element " << i << " assigned to shard "
+                                           << clocked_shard_[i] << " of "
+                                           << S);
     }
-    return;
   }
+  // Under set_sharded each element lives in its shard's lane; the
+  // sequential modes put everything in lane 0, in registration order.
+  auto lane_of = [&](uint32_t shard) -> ShardLane& {
+    return lanes_[sharded() ? shard : 0];
+  };
 
-  // Shard segmentation: each shard gets a cache-line aligned word range of
-  // the packed flag array (8 words = one 64-byte line), so no two shard
-  // threads ever store to the same line, plus a slot table mapping its flag
-  // bits back to components in registration order — the sequential engine's
-  // evaluation order restricted to the shard.
-  const uint32_t S = num_shards_;
+  // Lane segmentation: each lane gets a cache-line aligned word range of the
+  // packed wake bitset (8 words = one 64-byte line), so no two lane threads
+  // ever store to the same line, plus a slot table mapping its flag bits back
+  // to components in registration order — the sequential engine's
+  // evaluation order restricted to the lane. The commit-dirty bitset is
+  // segmented the same way, and every element's dirty bit is rebound into
+  // its lane's segment with the lane's pending counter as the tally.
   constexpr std::size_t kWordsPerLine = 8;
-  std::vector<std::size_t> count(S, 0);
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    MEMPOOL_CHECK_MSG(component_shard_[i] < S,
-                      "component '" << components_[i]->name() << "' assigned "
-                                    << "to shard " << component_shard_[i]
-                                    << " of " << S);
-    ++count[component_shard_[i]];
-  }
+  auto line_words = [](std::size_t bits) {
+    const std::size_t words = (bits + 63u) / 64u;
+    return (words + kWordsPerLine - 1) / kWordsPerLine * kWordsPerLine;
+  };
   lanes_.clear();
   lanes_.resize(S);
+  for (uint32_t shard : component_shard_) ++lane_of(shard).num_slots;
+  for (uint32_t shard : clocked_shard_) ++lane_of(shard).num_cslots;
   std::size_t word = 0;
+  std::size_t dword = 0;
   for (uint32_t s = 0; s < S; ++s) {
     ShardLane& lane = lanes_[s];
     lane.id = s;
     lane.word_begin = static_cast<uint32_t>(word);
-    const std::size_t words = (count[s] + 63u) / 64u;
-    word += (words + kWordsPerLine - 1) / kWordsPerLine * kWordsPerLine;
+    word += line_words(lane.num_slots);
     lane.word_end = static_cast<uint32_t>(word);
     lane.slots.assign((lane.word_end - lane.word_begin) * 64u, nullptr);
+    lane.dirty_begin = static_cast<uint32_t>(dword);
+    dword += line_words(lane.num_cslots);
+    lane.dirty_end = static_cast<uint32_t>(dword);
+    lane.cslots.assign((lane.dirty_end - lane.dirty_begin) * 64u, nullptr);
   }
   flags_.assign(word, 0);
+  dirty_.assign(dword, 0);
   std::vector<std::size_t> next(S, 0);
   for (std::size_t i = 0; i < components_.size(); ++i) {
-    ShardLane& lane = lanes_[component_shard_[i]];
-    const std::size_t k = next[component_shard_[i]]++;
+    ShardLane& lane = lane_of(component_shard_[i]);
+    const std::size_t k = next[lane.id]++;
     lane.slots[k] = components_[i];
     components_[i]->bind_activity_slot(&flags_[lane.word_begin + k / 64],
                                        static_cast<unsigned>(k % 64));
   }
-
-  // Commit-dirty segmentation, mirroring the wake segments: each shard gets a
-  // cache-line aligned word range of one packed dirty bitset plus a slot
-  // table over its clocked elements in registration order, and every
-  // element's dirty bit is rebound into its segment (with the lane's pending
-  // counter as the tally).
-  std::vector<std::size_t> ccount(S, 0);
+  std::fill(next.begin(), next.end(), 0);
   for (std::size_t i = 0; i < clocked_.size(); ++i) {
-    MEMPOOL_CHECK_MSG(clocked_shard_[i] < S,
-                      "clocked element " << i << " assigned to shard "
-                                         << clocked_shard_[i] << " of " << S);
-    ++ccount[clocked_shard_[i]];
-  }
-  std::size_t dword = 0;
-  for (uint32_t s = 0; s < S; ++s) {
-    ShardLane& lane = lanes_[s];
-    lane.dirty_begin = static_cast<uint32_t>(dword);
-    const std::size_t words = (ccount[s] + 63u) / 64u;
-    dword += (words + kWordsPerLine - 1) / kWordsPerLine * kWordsPerLine;
-    lane.dirty_end = static_cast<uint32_t>(dword);
-    lane.cslots.assign((lane.dirty_end - lane.dirty_begin) * 64u, nullptr);
-    lane.dirty_pending = 0;
-  }
-  dirty_.assign(dword, 0);
-  std::vector<std::size_t> cnext(S, 0);
-  for (std::size_t i = 0; i < clocked_.size(); ++i) {
-    ShardLane& lane = lanes_[clocked_shard_[i]];
-    const std::size_t k = cnext[clocked_shard_[i]]++;
+    ShardLane& lane = lane_of(clocked_shard_[i]);
+    const std::size_t k = next[lane.id]++;
     lane.cslots[k] = clocked_[i];
     clocked_[i]->bind_commit_slot(&dirty_[lane.dirty_begin + k / 64],
                                   static_cast<unsigned>(k % 64),
                                   &lane.dirty_pending);
   }
+  if (!sharded()) return;
 
   // Cross-shard ring sizing. A registered buffer stages at most one item per
   // cycle (a second same-cycle push is a model error), so the number of
@@ -213,41 +281,34 @@ void Engine::finalize() {
   }
 }
 
-void Engine::shard_evaluate(std::size_t s) {
+void Engine::lane_evaluate(std::size_t s) {
   ShardLane& lane = lanes_[s];
   const uint64_t t0 = profile_ ? prof_now_ns() : 0;
-  ShardLaneScope scope(&lane);
-
-  // Fire this shard's due timers; their wakes are observed by the scan below,
-  // exactly like the sequential engine's fire-then-scan order.
-  while (!lane.far.empty() && lane.far.top().first < cycle_ + kTimerWindow) {
-    const auto [due, w] = lane.far.top();
-    lane.far.pop();
-    if (due <= cycle_) {
-      w->wake();
-      --lane.armed;
-    } else {
-      lane.wheel.arm(due, w);
-    }
-  }
-  lane.armed -= lane.wheel.fire(cycle_);
-
+  // Sharded lanes route timers and cross-shard pushes through the lane; the
+  // sequential lane runs with no current lane (see sim/shard.hpp).
+  const ShardLaneScope scope(sharded() ? &lane : nullptr);
+  // This lane's due timers wake components before the scan observes them.
+  lane.timers.fire(cycle_);
+  if (dense_) set_low_bits(flags_.data() + lane.word_begin, lane.num_slots);
   lane.worked =
-      scan_words(flags_.data(), lane.word_begin, lane.word_end,
-                 lane.slots.data(), &lane.evaluations, nullptr,
-                 static_cast<int32_t>(lane.id));
+      scan_lane(lane, flags_.data(), cycle_, dense_,
+                sharded() ? nullptr : component_shard_.data());
   if (profile_) lane.prof_eval_ns = prof_now_ns() - t0;
 }
 
-void Engine::shard_commit(std::size_t d) {
+void Engine::lane_commit(std::size_t d) {
   ShardLane& lane = lanes_[d];
   const uint64_t t0 = profile_ ? prof_now_ns() : 0;
-  // Latch this shard's own dirty segment first (slot order), then drain the
+  // Latch this lane's own dirty segment first (slot order), then drain the
   // rings addressed to it in ascending source-shard order. All commits touch
   // only consumer-shard state (ring/occupancy/wake of shard d), so the
   // commit phase is itself parallel across shards; the fixed order is for
   // determinism only (and even that is belt-and-braces: distinct buffers
   // commute).
+  if (dense_) {
+    set_low_bits(dirty_.data() + lane.dirty_begin, lane.num_cslots);
+    lane.dirty_pending = lane.num_cslots;
+  }
   uint64_t n = 0;
   if (lane.dirty_pending != 0) {
     n += commit_scan(dirty_.data(), lane.dirty_begin, lane.dirty_end,
@@ -280,29 +341,31 @@ void Engine::shard_commit(std::size_t d) {
   }
 }
 
-bool Engine::step_sharded() {
-  // External timers (armed outside any shard phase, e.g. by tests) fire on
-  // the leader before the shards are released; their wakes may target any
-  // shard, which is only safe single-threaded. External pushes between steps
-  // land directly in the consumer lane's dirty segment (the leader is the
-  // only thread running), so there is no separate engine-global drain.
+bool Engine::step_work() {
+  if (!finalized_) finalize();
+  // Watchdog probe: leader thread, between cycles, before any lane phase is
+  // released — the same observation point under every mode.
+  if (cycle_ >= watch_probe_at_) watchdog_probe();
   const uint64_t t0 = profile_ ? prof_now_ns() : 0;
-  fire_timers();
-
-  const bool dispatch = exec_ != nullptr && exec_->threads() > 1 &&
-                        last_cycle_evals_ >= kDispatchThreshold;
-  if (dispatch) ++parallel_cycles_;
+  // Engine-level timers fire on the leader before the lanes are released:
+  // their wakes may target any lane, which is only safe single-threaded.
+  // External pushes between steps land directly in the consumer lane's
+  // dirty segment (the leader is the only thread running), so there is no
+  // separate engine-global drain.
+  timers_.fire(cycle_);
   const uint64_t te = profile_ ? prof_now_ns() : 0;
-  if (dispatch) {
-    exec_->run(num_shards_, [this](std::size_t s) { shard_evaluate(s); });
+
+  const bool parallel = exec_ != nullptr && exec_->threads() > 1 &&
+                        last_cycle_evals_ >= kDispatchThreshold;
+  uint64_t tc = 0;
+  if (parallel) {
+    ++parallel_cycles_;
+    exec_->run(lanes_.size(), [this](std::size_t s) { lane_evaluate(s); });
+    if (profile_) tc = prof_now_ns();
+    exec_->run(lanes_.size(), [this](std::size_t s) { lane_commit(s); });
   } else {
-    for (uint32_t s = 0; s < num_shards_; ++s) shard_evaluate(s);
-  }
-  const uint64_t tc = profile_ ? prof_now_ns() : 0;
-  if (dispatch) {
-    exec_->run(num_shards_, [this](std::size_t s) { shard_commit(s); });
-  } else {
-    for (uint32_t s = 0; s < num_shards_; ++s) shard_commit(s);
+    for (std::size_t s = 0; s < lanes_.size(); ++s) lane_evaluate(s);
+    for (std::size_t s = 0; s < lanes_.size(); ++s) lane_commit(s);
   }
 
   bool worked = false;
@@ -311,34 +374,49 @@ bool Engine::step_sharded() {
     worked |= lane.worked;
     evals += lane.evaluations;
   }
-  if (profile_) {
-    const uint64_t tend = prof_now_ns();
-    uint64_t max_eval = 0, max_cc = 0, commit_sum = 0, drain_sum = 0;
-    for (ShardLane& lane : lanes_) {
-      max_eval = std::max(max_eval, lane.prof_eval_ns);
-      max_cc = std::max(max_cc, lane.prof_commit_ns + lane.prof_drain_ns);
-      commit_sum += lane.prof_commit_ns;
-      drain_sum += lane.prof_drain_ns;
-      lane.prof_eval_ns = lane.prof_commit_ns = lane.prof_drain_ns = 0;
-    }
-    // Attribute the critical-path lane's busy time to the work phases and
-    // the rest of each phase's wall time to the barrier; the commit-phase
-    // critical path is split commit/drain pro rata of the lane totals.
-    const uint64_t eval_wall = tc - te;
-    const uint64_t commit_wall = tend - tc;
-    const uint64_t busy = commit_sum + drain_sum;
-    const uint64_t cc_commit = busy == 0 ? 0 : max_cc * commit_sum / busy;
-    profile_data_.evaluate_ns += (te - t0) + max_eval;
-    profile_data_.commit_ns += cc_commit;
-    profile_data_.drain_ns += max_cc - cc_commit;
-    profile_data_.barrier_ns += (eval_wall > max_eval ? eval_wall - max_eval : 0) +
-                                (commit_wall > max_cc ? commit_wall - max_cc : 0);
-    ++profile_data_.cycles;
-  }
+  if (profile_) record_profile(t0, te, tc, parallel);
   last_cycle_evals_ = evals - prev_total_evals_;
   prev_total_evals_ = evals;
   ++cycle_;
   return worked;
+}
+
+void Engine::record_profile(uint64_t t0, uint64_t te, uint64_t tc,
+                            bool parallel) {
+  uint64_t eval_sum = 0, max_eval = 0, max_cc = 0, commit_sum = 0,
+           drain_sum = 0;
+  for (ShardLane& lane : lanes_) {
+    eval_sum += lane.prof_eval_ns;
+    max_eval = std::max(max_eval, lane.prof_eval_ns);
+    max_cc = std::max(max_cc, lane.prof_commit_ns + lane.prof_drain_ns);
+    commit_sum += lane.prof_commit_ns;
+    drain_sum += lane.prof_drain_ns;
+    lane.prof_eval_ns = lane.prof_commit_ns = lane.prof_drain_ns = 0;
+  }
+  profile_data_.evaluate_ns += te - t0;  // leader-side timer firing
+  ++profile_data_.cycles;
+  if (!parallel) {
+    // The lanes ran one after another on this thread: nobody waited, so
+    // their busy times are the whole phases.
+    profile_data_.evaluate_ns += eval_sum;
+    profile_data_.commit_ns += commit_sum;
+    profile_data_.drain_ns += drain_sum;
+    return;
+  }
+  // Attribute the critical-path lane's busy time to the work phases and the
+  // rest of each phase's wall time to the barrier; the commit-phase critical
+  // path is split commit/drain pro rata of the lane totals.
+  const uint64_t tend = prof_now_ns();
+  const uint64_t eval_wall = tc - te;
+  const uint64_t commit_wall = tend - tc;
+  const uint64_t busy = commit_sum + drain_sum;
+  const uint64_t cc_commit = busy == 0 ? 0 : max_cc * commit_sum / busy;
+  profile_data_.evaluate_ns += max_eval;
+  profile_data_.commit_ns += cc_commit;
+  profile_data_.drain_ns += max_cc - cc_commit;
+  profile_data_.barrier_ns +=
+      (eval_wall > max_eval ? eval_wall - max_eval : 0) +
+      (commit_wall > max_cc ? commit_wall - max_cc : 0);
 }
 
 uint64_t Engine::evaluations() const {
@@ -523,26 +601,9 @@ void Engine::watchdog_fire(const std::vector<const WatchedBuffer*>& stalled) {
 }
 
 uint64_t Engine::next_timer_at_most(uint64_t limit) const {
-  uint64_t best = limit;
-  if (!far_timers_.empty() && far_timers_.top().first < best) {
-    best = far_timers_.top().first;
-  }
+  uint64_t best = timers_.next_at_most(cycle_, limit);
   for (const ShardLane& lane : lanes_) {
-    if (!lane.far.empty() && lane.far.top().first < best) {
-      best = lane.far.top().first;
-    }
-  }
-  for (uint64_t c = cycle_; c < cycle_ + kTimerWindow && c < best; ++c) {
-    if (!wheel_.slot_empty(c)) {
-      best = c;
-      break;
-    }
-    for (const ShardLane& lane : lanes_) {
-      if (!lane.wheel.slot_empty(c)) {
-        best = c;
-        break;
-      }
-    }
+    best = lane.timers.next_at_most(cycle_, best);
   }
   return best;
 }

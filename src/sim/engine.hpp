@@ -10,45 +10,44 @@
 //   2. commit: every buffer with a staged item latches (staged pushes become
 //      visible and wake their consumer), then the cycle counter advances.
 //
-// Scheduling modes:
-//   * activity-driven (default): only components whose wake flag is set are
-//     evaluated. Components register wake conditions instead of polling:
-//       - an elastic-buffer push/commit wakes the downstream component,
-//       - response delivery wakes the receiving client,
-//       - an I$ miss wakes the refill engine,
-//       - wake_at(cycle, w) arms a timed wake (traffic generators sleep
-//         between Poisson arrival events).
-//     A component that reports idle() after evaluating is put to sleep until
-//     one of those events re-arms it. The wake flags live in one contiguous
-//     engine-owned array, so the per-cycle scan is a word-wise sweep that
-//     skips 8 sleeping components per load. The commit phase walks only the
-//     buffers that staged something this cycle. When a step finds no awake
-//     component and nothing staged, the cluster cannot wake itself before
-//     the next timer (or ever, if none is armed), so run() fast-forwards the
-//     dead cycles and run_until_idle() returns.
-//   * dense (set_dense(true), the benches' --engine=dense escape hatch):
-//     evaluate every component and commit every registered element each
-//     cycle — the original scheduler, kept as the equivalence oracle. Both
-//     modes are cycle-for-cycle bit-identical (tests/test_sim_equivalence):
-//     an idle component's evaluate() is a no-op by contract, and wake events
-//     strictly precede the evaluation that observes them thanks to the
-//     topological order (all combinational edges point forward; backward
-//     edges are registered and wake at the commit edge for the next cycle).
-//   * sharded (set_sharded, --engine=sharded): the activity-driven scheduler
-//     with the component graph partitioned into per-group shards evaluated
-//     concurrently and latched at a per-cycle commit barrier — see
+// Only components whose wake flag is set are evaluated. Components register
+// wake conditions instead of polling:
+//   - an elastic-buffer push/commit wakes the downstream component,
+//   - response delivery wakes the receiving client,
+//   - an I$ miss wakes the refill engine,
+//   - wake_at(cycle, w) arms a timed wake (traffic generators sleep between
+//     Poisson arrival events).
+// A component that reports idle() after evaluating is put to sleep until one
+// of those events re-arms it. The wake flags live in one contiguous
+// engine-owned array, so the per-cycle scan is a word-wise sweep that skips
+// 64 sleeping components per load, and the commit phase word-scans a packed
+// dirty bitset the same way. When a step finds no awake component and
+// nothing staged, the cluster cannot wake itself before the next timer (or
+// ever, if none is armed), so run() fast-forwards the dead cycles and
+// run_until_idle() returns.
+//
+// One cycle loop serves every mode; the modes differ only in how the
+// components are split into lanes (sim/shard.hpp) and in one flag:
+//   * active (default): one lane holding every component, stepped on the
+//     calling thread.
+//   * dense (set_dense(true), --engine dense): the same lane, with every wake
+//     bit set before the scan and every dirty bit before the commit scan —
+//     evaluate everything, commit everything, each cycle. Kept as the
+//     equivalence oracle: both modes are cycle-for-cycle bit-identical
+//     (tests/test_sim_equivalence) because an idle component's evaluate() is
+//     a no-op by contract, and wake events strictly precede the evaluation
+//     that observes them thanks to the topological order (all combinational
+//     edges point forward; backward edges are registered and wake at the
+//     commit edge for the next cycle).
+//   * sharded (set_sharded, --engine sharded): one lane per fabric shard,
+//     evaluated concurrently and latched at a per-cycle commit barrier — see
 //     sim/shard.hpp for the structure and the determinism argument. Results
 //     are bit-identical to the active engine for any shard count and any
 //     thread schedule.
 
 #include <algorithm>
-#include <array>
-#include <bit>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -61,10 +60,6 @@
 #include "sim/component.hpp"
 #include "sim/elastic_buffer.hpp"
 #include "sim/shard.hpp"
-
-#if defined(MEMPOOL_DRC)
-#include "sim/drc_runtime.hpp"
-#endif
 
 namespace mempool {
 
@@ -96,11 +91,12 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Register a component; evaluation follows registration order within each
-  /// shard (and globally under the sequential schedulers). @p shard is the
-  /// partition the component evaluates in under set_sharded() — components
-  /// connected by a combinational path must share a shard (the cluster
-  /// builder derives shards from the fabric plugin's group structure, which
-  /// guarantees exactly that). Must happen before the first step().
+  /// lane. @p shard is the partition the component evaluates in under
+  /// set_sharded() — components connected by a combinational path must share
+  /// a shard (the cluster builder derives shards from the fabric plugin's
+  /// group structure, which guarantees exactly that). The sequential modes
+  /// keep the tag for MEMPOOL_DRC's race checks. Must happen before the first
+  /// step().
   void add_component(Component* c, uint32_t shard = 0) {
     MEMPOOL_CHECK_MSG(!finalized_, "add_component after the first step");
     MEMPOOL_CHECK_MSG(component_set_.insert(c).second,
@@ -115,7 +111,7 @@ class Engine {
   /// whose commit phase latches the element under set_sharded() — for an
   /// elastic buffer, the shard of its *consumer* (commits publish into
   /// consumer-side state). finalize() packs all registered elements into a
-  /// commit-dirty bitset (segmented per shard, like the wake flags) and binds
+  /// commit-dirty bitset (segmented per lane, like the wake flags) and binds
   /// each element's dirty bit into it; until then staged pushes fall back to
   /// the element's private word, which bind_commit_slot migrates.
   void add_clocked(Clocked* c, uint32_t shard = 0) {
@@ -130,37 +126,24 @@ class Engine {
   /// Arm a timed wake: @p w is woken at the start of cycle @p cycle (or
   /// immediately if @p cycle is not in the future). Components use this to
   /// sleep through dead cycles they can predict — e.g. a traffic generator
-  /// sleeping until its next Poisson arrival. Near timers go into a bucketed
-  /// wheel (O(1) arm/fire); far ones overflow into a heap and migrate as
-  /// their window approaches. During a sharded evaluate phase the timer is
-  /// armed in the evaluating shard's own wheel (components only arm wakes
-  /// for themselves or same-shard peers), keeping the hot path lock-free.
+  /// sleeping until its next Poisson arrival. During a sharded evaluate phase
+  /// the timer is armed in the evaluating shard's own wheel (components only
+  /// arm wakes for themselves or same-shard peers), keeping the hot path
+  /// lock-free; everywhere else it goes to the engine's wheel, fired on the
+  /// leader before the lanes run.
   void wake_at(uint64_t cycle, Wakeable* w) {
     if (cycle <= cycle_) {
       w->wake();
       return;
     }
-    if (ShardLane* lane = current_shard_lane()) {
-      if (cycle - cycle_ < kTimerWindow) {
-        lane->wheel.arm(cycle, w);
-      } else {
-        lane->far.emplace(cycle, w);
-      }
-      ++lane->armed;
-      return;
-    }
-    if (cycle - cycle_ < kTimerWindow) {
-      wheel_.arm(cycle, w);
-    } else {
-      far_timers_.emplace(cycle, w);
-    }
-    ++armed_timers_;
+    ShardLane* lane = current_shard_lane();
+    (lane != nullptr ? lane->timers : timers_).arm(cycle, cycle_, w);
   }
 
-  /// Select the scheduler: false (default) = activity-driven, true = dense
-  /// evaluate-everything (the --engine=dense escape hatch / equivalence
-  /// oracle). May be toggled between steps; both modes see the same state.
-  /// Mutually exclusive with set_sharded().
+  /// Select dense scheduling: true = evaluate every component and commit
+  /// every registered element each cycle (the --engine=dense equivalence
+  /// oracle), false (default) = activity-driven. May be toggled between
+  /// steps; both see the same state. Mutually exclusive with set_sharded().
   void set_dense(bool dense) {
     MEMPOOL_CHECK_MSG(!dense || num_shards_ == 0,
                       "dense and sharded scheduling are mutually exclusive");
@@ -168,10 +151,10 @@ class Engine {
   }
   bool dense() const { return dense_; }
 
-  /// Partition the registered components into @p num_shards shards (by the
+  /// Partition the registered components into @p num_shards lanes (by the
   /// shard ids passed to add_component) and step them in parallel on
-  /// @p exec; a null executor — or one without spare threads — evaluates the
-  /// shards sequentially on the calling thread, still bit-identically.
+  /// @p exec; a null executor — or one without spare threads — steps the
+  /// lanes one after another on the calling thread, still bit-identically.
   /// @p exec, when given, must outlive every subsequent step()/run() call.
   /// Must be called after the components are registered and before the
   /// first step; mutually exclusive with set_dense(true).
@@ -198,9 +181,9 @@ class Engine {
   /// Advance one cycle.
   void step() { step_work(); }
 
-  /// Advance @p n cycles. In the activity-driven modes, once nothing is
-  /// awake and nothing is staged, the cycles up to the next armed timer (or
-  /// the target) are skipped in O(1) — they could not have changed any state.
+  /// Advance @p n cycles. Unless dense, once nothing is awake and nothing is
+  /// staged, the cycles up to the next armed timer (or the target) are
+  /// skipped in O(1) — they could not have changed any state.
   void run(uint64_t n) {
     const uint64_t target = cycle_ + n;
     while (cycle_ < target) {
@@ -219,10 +202,9 @@ class Engine {
   }
 
   /// Advance until the cluster is quiescent or @p max_cycles elapsed;
-  /// returns the number of cycles advanced. In the activity-driven modes,
-  /// dead stretches while only a timed wake is pending are fast-forwarded
-  /// just like run(); dense mode steps every cycle and polls the components'
-  /// idle() predicates.
+  /// returns the number of cycles advanced. Unless dense, dead stretches
+  /// while only a timed wake is pending are fast-forwarded just like run();
+  /// dense mode steps every cycle.
   uint64_t run_until_idle(uint64_t max_cycles) {
     uint64_t advanced = 0;
     while (advanced < max_cycles && !quiescent()) {
@@ -248,9 +230,9 @@ class Engine {
   /// timer is armed — i.e. no future cycle can differ from this one (absent
   /// external pokes).
   bool quiescent() const {
-    if (dirty_pending_ != 0 || armed_timers_ != 0) return false;
+    if (timers_.armed() != 0) return false;
     for (const ShardLane& lane : lanes_) {
-      if (lane.armed != 0 || lane.dirty_pending != 0) return false;
+      if (lane.timers.armed() != 0 || lane.dirty_pending != 0) return false;
     }
     for (const Component* c : components_) {
       // Activity invariant: a sleeping component is idle by construction, so
@@ -298,8 +280,8 @@ class Engine {
   uint64_t commits() const;
   /// Cycles fast-forwarded by run() after quiescence was detected.
   uint64_t idle_cycles_skipped() const { return idle_cycles_skipped_; }
-  /// Cycles the sharded engine dispatched to the executor (vs. evaluating
-  /// the shards inline because the previous cycle was too light to pay the
+  /// Cycles the sharded engine dispatched to the executor (vs. stepping the
+  /// lanes inline because the previous cycle was too light to pay the
   /// barrier for). Deterministic: depends only on simulation state.
   uint64_t parallel_cycles() const { return parallel_cycles_; }
 
@@ -308,7 +290,9 @@ class Engine {
   /// set_profile(true): evaluate = timer firing + active-set scans, commit =
   /// commit-dirty bitset scans, drain = cross-shard ring drains + boundary
   /// snapshot refreshes (sharded only), barrier = dispatch/join overhead of
-  /// the sharded phases (phase wall time minus the busiest lane's work).
+  /// the parallel phases (phase wall time minus the busiest lane's work).
+  /// A cycle whose lanes run one after another on the calling thread has no
+  /// barrier: its lanes' busy times add up to the work phases.
   /// Profiling never changes simulation results — it only reads clocks.
   struct PhaseProfile {
     uint64_t evaluate_ns = 0;
@@ -321,165 +305,22 @@ class Engine {
   const PhaseProfile& phase_profile() const { return profile_data_; }
 
  private:
-  /// Gather every component's wake flag into one packed bitset so the
-  /// active-set scan iterates set bits of a few contiguous words. Under
-  /// set_sharded the bitset is segmented per shard (cache-line aligned) and
-  /// per-shard slot tables are built.
+  /// Lay out the lanes: one per shard under set_sharded, else one holding
+  /// everything. Each lane gets a cache-line aligned segment of the packed
+  /// wake and commit-dirty bitsets plus slot tables mapping its bits back to
+  /// components / clocked elements in registration order.
   void finalize();
-
-  /// Fire every timer due at the current cycle (wheel slot + any far timer
-  /// that is due or has entered the wheel window). Timer wakes are observed
-  /// by this cycle's scan.
-  void fire_timers() {
-    while (!far_timers_.empty() &&
-           far_timers_.top().first < cycle_ + kTimerWindow) {
-      const auto [due, w] = far_timers_.top();
-      far_timers_.pop();
-      if (due <= cycle_) {
-        w->wake();
-        --armed_timers_;
-      } else {
-        wheel_.arm(due, w);
-      }
-    }
-    armed_timers_ -= wheel_.fire(cycle_);
-  }
 
   /// Earliest armed timer cycle, clamped to @p limit. Only called when the
   /// cluster is otherwise quiescent, so the wheel scans are off the hot path.
   uint64_t next_timer_at_most(uint64_t limit) const;
 
   /// One cycle; returns true if any component was evaluated or any element
-  /// committed (always true in dense mode).
-  bool step_work() {
-    if (!finalized_) finalize();
-    // Watchdog probe: leader thread, between cycles, before any shard phase
-    // is released — identical observation point under all three modes.
-    if (cycle_ >= watch_probe_at_) watchdog_probe();
-    if (num_shards_ != 0) return step_sharded();
-    const uint64_t t0 = profile_ ? prof_now_ns() : 0;
-    fire_timers();
-    bool worked = false;
-    if (dense_) {
-      for (std::size_t i = 0; i < components_.size(); ++i) {
-#if defined(MEMPOOL_DRC)
-        const drc::EvalShardScope drc_scope(
-            static_cast<int32_t>(component_shard_[i]));
-#endif
-        components_[i]->evaluate(cycle_);
-      }
-      evaluations_ += components_.size();
-      const uint64_t t1 = profile_ ? prof_now_ns() : 0;
-      for (Clocked* c : clocked_) c->commit();
-      commits_ += clocked_.size();
-      // Buffers still self-marked their dirty bits; the full sweep above
-      // already committed them, so just wipe the bitset for the next cycle.
-      if (dirty_pending_ != 0) {
-        std::fill(dirty_.begin(), dirty_.end(), 0);
-        dirty_pending_ = 0;
-      }
-      worked = true;
-      if (profile_) {
-        profile_data_.evaluate_ns += t1 - t0;
-        profile_data_.commit_ns += prof_now_ns() - t1;
-        ++profile_data_.cycles;
-      }
-    } else {
-      worked = scan_words(flags_.data(), 0, flags_.size(), components_.data(),
-                          &evaluations_, component_shard_.data(), 0);
-      const uint64_t t1 = profile_ ? prof_now_ns() : 0;
-      if (dirty_pending_ != 0) {
-        worked = true;
-        commits_ +=
-            commit_scan(dirty_.data(), 0, dirty_.size(), commit_slots_.data());
-        dirty_pending_ = 0;
-      }
-      if (profile_) {
-        profile_data_.evaluate_ns += t1 - t0;
-        profile_data_.commit_ns += prof_now_ns() - t1;
-        ++profile_data_.cycles;
-      }
-    }
-    ++cycle_;
-    return worked;
-  }
-
-  /// Evaluate the awake components behind flag words [@p begin, @p end) of
-  /// @p words; slot tables are indexed relative to @p begin. Shared between
-  /// the sequential scan (whole array) and the per-shard scans.
-  /// MEMPOOL_DRC only: each evaluation is tagged with its component's shard —
-  /// @p slot_shards (indexed like @p slots) when non-null, else
-  /// @p fixed_shard (the per-lane scans, where every slot shares the lane
-  /// id). Plain builds ignore both.
-  bool scan_words(uint64_t* words, std::size_t begin, std::size_t end,
-                  Component* const* slots, uint64_t* evaluations,
-                  [[maybe_unused]] const uint32_t* slot_shards,
-                  [[maybe_unused]] int32_t fixed_shard) {
-    bool worked = false;
-    for (std::size_t w = begin; w < end; ++w) {
-      // Process set bits in ascending component order, re-reading the word
-      // after every evaluation: a component may wake a LATER one in this
-      // same word via a combinational push (must be seen this cycle), while
-      // a backward wake (e.g. an I$ miss arming the earlier-phase refill
-      // engine) stays pending for the next cycle — exactly the dense
-      // engine's semantics.
-      uint64_t visited = 0;  // bit b and everything below, once processed
-      uint64_t m;
-      while ((m = words[w] & ~visited) != 0) {
-        const unsigned b = std::countr_zero(m);
-        const uint64_t bit = 1ull << b;
-        visited |= bit | (bit - 1);
-        worked = true;
-        Component* c = slots[(w - begin) * 64 + b];
-        {
-#if defined(MEMPOOL_DRC)
-          const drc::EvalShardScope drc_scope(
-              slot_shards != nullptr
-                  ? static_cast<int32_t>(slot_shards[(w - begin) * 64 + b])
-                  : fixed_shard);
-#endif
-          c->evaluate(cycle_);
-        }
-        ++*evaluations;
-        if (c->idle()) c->sleep();
-      }
-    }
-    return worked;
-  }
-
-  /// Commit the clocked elements behind set dirty bits of words
-  /// [@p begin, @p end), in ascending slot order (bit-identical to the
-  /// historical push-order queue — see Clocked's class comment). Each word is
-  /// cleared before its bits are walked; commit() never re-marks, so the
-  /// bitset is clean afterwards. Returns the number of commits.
-  static uint64_t commit_scan(uint64_t* words, std::size_t begin,
-                              std::size_t end, Clocked* const* slots) {
-    uint64_t n = 0;
-    for (std::size_t w = begin; w < end; ++w) {
-      uint64_t m = words[w];
-      if (m == 0) continue;
-      words[w] = 0;
-      do {
-        const unsigned b = std::countr_zero(m);
-        m &= m - 1;
-        slots[(w - begin) * 64 + b]->commit();
-        ++n;
-      } while (m != 0);
-    }
-    return n;
-  }
-
-  static uint64_t prof_now_ns() {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-
-  // --- sharded stepping (engine.cpp) -----------------------------------------
-  bool step_sharded();
-  void shard_evaluate(std::size_t s);
-  void shard_commit(std::size_t s);
+  /// committed.
+  bool step_work();
+  void lane_evaluate(std::size_t s);
+  void lane_commit(std::size_t s);
+  void record_profile(uint64_t t0, uint64_t te, uint64_t tc, bool parallel);
 
   // --- progress watchdog (engine.cpp) ----------------------------------------
   /// One buffer under watch. `pending_since` is the probe cycle at which the
@@ -506,22 +347,18 @@ class Engine {
   std::unordered_set<const Clocked*> clocked_set_;      ///< Dup detection.
   std::vector<uint64_t> flags_;  ///< Packed wake bits, one per component.
   std::vector<uint64_t> dirty_;  ///< Packed commit-dirty bits, one per clocked.
-  std::vector<Clocked*> commit_slots_;  ///< Bit -> element (sequential modes).
-  uint64_t dirty_pending_ = 0;  ///< Dirty count (sequential/external staging).
+  std::vector<ShardLane> lanes_;
   /// S×S matrix of cross-shard handoff rings, row-major by producer shard
   /// (lanes_[s].outbox_row = &rings_[s * S]); sized at finalize from the
   /// boundary-buffer registry, empty under the sequential modes.
   std::unique_ptr<SpscRing<Clocked*>[]> rings_;
-  static constexpr uint64_t kTimerWindow = TimerWheel::kWindow;
-  static_assert(kTimerWindow == ShardLane::kTimerWindow);
-  TimerWheel wheel_;
-  using Timer = std::pair<uint64_t, Wakeable*>;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>>
-      far_timers_;
-  uint64_t armed_timers_ = 0;
+  /// Timers armed outside any sharded evaluate phase (every timer under the
+  /// sequential modes; external pokes under sharded).
+  TimerWheel timers_;
   uint64_t cycle_ = 0;
   bool dense_ = false;
   bool finalized_ = false;
+  /// Work counted before the lanes existed (restored from a checkpoint).
   uint64_t evaluations_ = 0;
   uint64_t commits_ = 0;
   uint64_t idle_cycles_skipped_ = 0;
@@ -535,11 +372,10 @@ class Engine {
   std::vector<WatchedBuffer> watched_;
 
   // --- sharded state ---------------------------------------------------------
-  uint32_t num_shards_ = 0;  ///< 0 = sequential scheduling.
+  uint32_t num_shards_ = 0;  ///< 0 = sequential scheduling (one lane).
   ShardExecutor* exec_ = nullptr;
-  std::vector<ShardLane> lanes_;
   /// Evaluations of the previous cycle: cycles lighter than the dispatch
-  /// threshold are evaluated inline (the barrier would cost more than the
+  /// threshold step their lanes inline (the barrier would cost more than the
   /// work); purely simulation-state dependent, so the choice never affects
   /// results.
   uint64_t last_cycle_evals_ = UINT64_MAX;

@@ -1,28 +1,38 @@
 #pragma once
-// Sharded (multi-threaded) execution support for the cycle engine.
+// Lanes: the unit the cycle engine steps, and the sharded engine's support.
 //
-// The component graph is partitioned into shards along the fabric's *group*
-// boundaries (reported by the FabricTopology plugin): MemPool's hierarchy
-// guarantees that every link crossing a group passes through a registered
-// elastic buffer, so no combinational path — and therefore no intra-cycle
-// effect — ever crosses a shard. Each cycle then runs as two parallel phases
-// separated by a barrier:
+// Every cycle, every engine mode runs the same two phases over its lanes:
 //
-//   evaluate  each shard fires its own timers and scans its own segment of
-//             the wake bitset, evaluating components exactly like the
-//             sequential active engine does within that subsequence.
-//             Registered pushes whose target buffer lives in another shard
-//             are handed off through a lock-free SPSC ring (one per directed
-//             shard pair, acquire/release only) instead of marking the
-//             consumer shard's commit-dirty segment; pops from a
-//             shard-boundary buffer defer the producer-visible occupancy
-//             refresh (see ElasticBuffer) to the commit phase.
-//   commit    each shard scans its own segment of the commit-dirty bitset
+//   evaluate  each lane fires its own timers and scans its own segment of the
+//             wake bitset, evaluating the awake components in registration
+//             order (restricted to the lane).
+//   commit    each lane scans its own segment of the commit-dirty bitset
 //             (slot order), then drains the rings addressed to it in
-//             ascending source-shard order. Commits of distinct buffers are
-//             independent and the only shared words (wake flags, occupancy
-//             masks) are combined with idempotent ORs, so any fixed order is
-//             bit-identical to the sequential engine's commits.
+//             ascending source-lane order.
+//
+// The sequential modes (active, dense) step one lane that holds every
+// component and clocked element, on the calling thread with no current lane
+// (current_shard_lane() is null): timers armed during evaluation go to the
+// engine's own wheel, every staged push marks the lane's dirty segment, and
+// shard-boundary buffers refresh their producer-visible snapshot eagerly.
+// Dense only adds a flag that sets every wake bit before the scan and every
+// dirty bit before the commit scan (and skips putting idle components to
+// sleep, since the next cycle wakes them all again).
+//
+// The sharded mode steps one lane per shard. Shards follow the fabric's
+// *group* boundaries (reported by the FabricTopology plugin): MemPool's
+// hierarchy guarantees that every link crossing a group passes through a
+// registered elastic buffer, so no combinational path — and therefore no
+// intra-cycle effect — ever crosses a shard. Lanes evaluate in parallel, each
+// under a ShardLaneScope; registered pushes whose target buffer lives in
+// another shard are handed off through a lock-free SPSC ring (one per
+// directed shard pair, acquire/release only) instead of marking the consumer
+// shard's commit-dirty segment, and pops from a shard-boundary buffer defer
+// the producer-visible occupancy refresh (see ElasticBuffer) to the commit
+// phase. A barrier separates the phases. Commits of distinct buffers are
+// independent and the only shared words (wake flags, occupancy masks) are
+// combined with idempotent ORs, so any fixed order is bit-identical to the
+// sequential engine's commits.
 //
 // Determinism is structural, not best-effort: the per-shard evaluation order
 // is the sequential engine's order restricted to the shard, cross-shard
@@ -53,16 +63,73 @@ namespace mempool {
 
 class Component;
 
-/// Bucketed timer wheel with structure-of-arrays storage: entries live in
-/// one contiguous pool chained per slot through indices, instead of one
-/// heap-allocated vector per slot. Order within a slot is irrelevant —
-/// firing is an idempotent wake() OR — so entries are chained LIFO and
-/// recycled through a free list; the steady state allocates nothing.
+/// Timed wakes (Engine::wake_at): a bucketed wheel for the next kWindow
+/// cycles plus a heap for farther ones, which migrate into the wheel as their
+/// window approaches. Wheel entries live in one contiguous pool chained per
+/// slot through indices, instead of one heap-allocated vector per slot. Order
+/// within a slot is irrelevant — firing is an idempotent wake() OR — so
+/// entries are chained LIFO and recycled through a free list; the steady
+/// state allocates nothing.
 class TimerWheel {
  public:
   static constexpr uint64_t kWindow = 512;  ///< Slot span (power of two).
 
-  void arm(uint64_t cycle, Wakeable* w) {
+  /// Wake @p w at the start of cycle @p due (> @p now).
+  void arm(uint64_t due, uint64_t now, Wakeable* w) {
+    if (due - now < kWindow) {
+      arm_slot(due, w);
+    } else {
+      far_.emplace(due, w);
+    }
+    ++armed_;
+  }
+
+  /// Wake every timer due at @p now, after moving far timers that entered
+  /// the window into the wheel.
+  void fire(uint64_t now) {
+    if (armed_ == 0) return;
+    while (!far_.empty() && far_.top().first < now + kWindow) {
+      const auto [due, w] = far_.top();
+      far_.pop();
+      if (due <= now) {
+        w->wake();
+        --armed_;
+      } else {
+        arm_slot(due, w);
+      }
+    }
+    const auto slot = static_cast<uint32_t>(now & (kWindow - 1));
+    int32_t e = head_[slot];
+    if (e < 0) return;
+    head_[slot] = -1;
+    while (e >= 0) {
+      Entry& entry = pool_[static_cast<uint32_t>(e)];
+      entry.w->wake();
+      const int32_t next = entry.next;
+      entry.next = free_head_;
+      free_head_ = e;
+      e = next;
+      --armed_;
+    }
+  }
+
+  /// Earliest armed cycle at or after @p now, clamped to @p limit. Off the
+  /// hot path: the engine asks only when nothing is awake.
+  uint64_t next_at_most(uint64_t now, uint64_t limit) const {
+    if (armed_ == 0) return limit;
+    uint64_t best = limit;
+    if (!far_.empty() && far_.top().first < best) best = far_.top().first;
+    for (uint64_t c = now; c < now + kWindow && c < best; ++c) {
+      if (head_[c & (kWindow - 1)] >= 0) return c;
+    }
+    return best;
+  }
+
+  /// Timers armed and not yet fired.
+  uint64_t armed() const { return armed_; }
+
+ private:
+  void arm_slot(uint64_t cycle, Wakeable* w) {
     const auto slot = static_cast<uint32_t>(cycle & (kWindow - 1));
     int32_t e;
     if (free_head_ >= 0) {
@@ -76,30 +143,6 @@ class TimerWheel {
     head_[slot] = e;
   }
 
-  /// Wake every entry parked in @p cycle's slot; returns how many fired.
-  uint64_t fire(uint64_t cycle) {
-    const auto slot = static_cast<uint32_t>(cycle & (kWindow - 1));
-    int32_t e = head_[slot];
-    if (e < 0) return 0;
-    uint64_t n = 0;
-    head_[slot] = -1;
-    while (e >= 0) {
-      Entry& entry = pool_[static_cast<uint32_t>(e)];
-      entry.w->wake();
-      const int32_t next = entry.next;
-      entry.next = free_head_;
-      free_head_ = e;
-      e = next;
-      ++n;
-    }
-    return n;
-  }
-
-  bool slot_empty(uint64_t cycle) const {
-    return head_[cycle & (kWindow - 1)] < 0;
-  }
-
- private:
   struct Entry {
     Wakeable* w = nullptr;
     int32_t next = -1;
@@ -111,6 +154,9 @@ class TimerWheel {
     h.fill(-1);
     return h;
   }();
+  using Timer = std::pair<uint64_t, Wakeable*>;
+  std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> far_;
+  uint64_t armed_ = 0;
 };
 
 /// Which scheduler steps the engine (and, downstream, a bench's --engine
@@ -129,35 +175,37 @@ const char* engine_mode_available();
 /// One-line description of @p m for --list-engines.
 const char* engine_mode_description(EngineMode m);
 
-/// Per-shard working set of the sharded engine. Everything a shard's thread
-/// touches while evaluating lives here (or in the components themselves), so
-/// the parallel phases share no mutable state except the explicitly
-/// synchronized handoffs described above.
+/// One lane's working set. Everything a lane's thread touches while stepping
+/// lives here (or in the components themselves), so the parallel phases
+/// share no mutable state except the explicitly synchronized handoffs
+/// described above.
 struct ShardLane {
   uint32_t id = 0;
 
   // --- wake bitset segment ---------------------------------------------------
   /// Word range [word_begin, word_end) of the engine's packed flag array;
-  /// shard segments are cache-line aligned so two shards never write the
-  /// same line.
+  /// lane segments are cache-line aligned so two lanes never write the same
+  /// line.
   uint32_t word_begin = 0;
   uint32_t word_end = 0;
   /// slots[(w - word_begin) * 64 + b] is the component behind flag bit b of
-  /// word w (nullptr for padding bits).
+  /// word w (nullptr for padding bits past num_slots).
   std::vector<Component*> slots;
+  uint32_t num_slots = 0;
 
   // --- commit staging --------------------------------------------------------
   /// Word range [dirty_begin, dirty_end) of the engine's packed commit-dirty
-  /// bitset assigned to this shard (cache-line aligned like the wake
+  /// bitset assigned to this lane (cache-line aligned like the wake
   /// segments); cslots maps its bits back to clocked elements in
   /// registration order.
   uint32_t dirty_begin = 0;
   uint32_t dirty_end = 0;
   std::vector<Clocked*> cslots;
+  uint32_t num_cslots = 0;
   /// Elements marked dirty since the last commit scan (bound as the dirty
-  /// counter of every clocked element registered to this shard). Written by
-  /// this shard's evaluate thread (or the leader between cycles), read by
-  /// this shard's commit phase — never concurrently.
+  /// counter of every clocked element registered to this lane). Written by
+  /// this lane's evaluate thread (or the leader between cycles), read by
+  /// this lane's commit phase — never concurrently.
   uint64_t dirty_pending = 0;
 
   /// outbox_row[d]: the lock-free SPSC ring carrying shard-boundary buffers
@@ -165,7 +213,7 @@ struct ShardLane {
   /// engine-owned S×S ring matrix). The producer side runs on this shard's
   /// evaluate thread, the consumer side on shard d's commit thread; rings
   /// are sized at elaboration from the boundary registry, so a full ring is
-  /// a model bug, not backpressure.
+  /// a model bug, not backpressure. Null for the sequential modes' lane.
   SpscRing<Clocked*>* outbox_row = nullptr;
 
   void push_cross(uint32_t consumer_shard, Clocked* c) {
@@ -179,12 +227,8 @@ struct ShardLane {
   /// producer-visible occupancy snapshot is refreshed in the commit phase.
   std::vector<Clocked*> drained;
 
-  // --- timers ----------------------------------------------------------------
-  static constexpr uint64_t kTimerWindow = TimerWheel::kWindow;
-  TimerWheel wheel;
-  using Timer = std::pair<uint64_t, Wakeable*>;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> far;
-  uint64_t armed = 0;
+  /// Timers armed by this lane's components during a sharded evaluate phase.
+  TimerWheel timers;
 
   // --- per-cycle results (read by the leader after the barrier) --------------
   bool worked = false;
@@ -234,8 +278,9 @@ class ShardLaneScope {
 /// and return only when all invocations completed, with their effects
 /// visible to the caller (a full barrier). The caller's thread may
 /// participate. runner::ShardGang is the production implementation (a
-/// reusable cycle barrier on the ThreadPool); passing no executor runs the
-/// shards sequentially on the calling thread, which is bit-identical.
+/// reusable cycle barrier over its own helper threads); passing no executor
+/// runs the shards sequentially on the calling thread, which is
+/// bit-identical.
 class ShardExecutor {
  public:
   virtual ~ShardExecutor() = default;

@@ -117,13 +117,10 @@ Snapshot Snapshot::deserialize(std::string_view bytes) {
 // the active set re-converges within one cycle without perturbing state.
 
 void Engine::save_state(Snapshot* snap) const {
-  MEMPOOL_CHECK_MSG(dirty_pending_ == 0,
-                    "checkpoint requires a quiesced cycle boundary (pending "
-                    "commit-dirty elements)");
   for (const ShardLane& lane : lanes_) {
     MEMPOOL_CHECK_MSG(lane.dirty_pending == 0 && lane.drained.empty(),
                       "checkpoint requires a quiesced cycle boundary "
-                      "(pending shard-lane commits)");
+                      "(pending commit-dirty elements)");
   }
   snap->cycle = cycle_;
   StateSink es;

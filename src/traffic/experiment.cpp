@@ -35,8 +35,8 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
   // Sharded mode: every shard records into its own monitor (a shared one
   // would be written concurrently); the per-shard monitors merge exactly
   // after the run (see noc/monitor.hpp), so the reported point is
-  // bit-identical to the sequential engines'. The gang's helper threads live
-  // on a point-private pool — sweep-level parallelism (runner --threads) and
+  // bit-identical to the sequential engines'. The gang's helper threads are
+  // private to the point — sweep-level parallelism (runner --threads) and
   // engine-level parallelism (--sim-threads) stay independent.
   const bool sharded = ecfg.engine == EngineMode::kSharded;
   const uint32_t num_monitors = sharded ? cluster.num_shards() : 1;
@@ -46,11 +46,11 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
     monitors.back().set_measure_end(ecfg.warmup_cycles + ecfg.measure_cycles);
   }
 
-  std::unique_ptr<runner::ShardCrew> crew;
+  std::unique_ptr<runner::ShardGang> gang;
   if (sharded) {
-    crew = std::make_unique<runner::ShardCrew>(ecfg.sim_threads,
+    gang = std::make_unique<runner::ShardGang>(ecfg.sim_threads,
                                                cluster.num_shards());
-    engine.set_sharded(cluster.num_shards(), crew->executor());
+    engine.set_sharded(cluster.num_shards(), gang.get());
   }
 
   TrafficConfig tcfg;

@@ -1,8 +1,11 @@
 #pragma once
 // Shared test utilities.
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/client.hpp"
 #include "core/system.hpp"
@@ -34,6 +37,28 @@ inline std::string only_core0(const std::string& body) {
     self: j self
     core0:
   )" + body;
+}
+
+/// The paper's four fabric plugins (Section III-C), in the order their
+/// PaperFabric indices follow.
+inline constexpr const char* kPaperFabrics[] = {"Top1", "Top4", "TopH", "TopX"};
+
+/// gtest parameter for suites instantiated over kPaperFabrics: a one-byte
+/// index rather than the name, because gtest prints a parameter's value into
+/// every test ID ("... # GetParam() = 1-byte object <02>") and those IDs are
+/// what test histories key on.
+struct PaperFabric {
+  uint8_t index;
+  const char* name() const { return kPaperFabrics[index]; }
+};
+
+/// The PaperFabric naming @p name (which must be one of kPaperFabrics).
+inline PaperFabric paper_fabric(std::string_view name) {
+  for (uint8_t i = 0; i < std::size(kPaperFabrics); ++i) {
+    if (name == kPaperFabrics[i]) return {i};
+  }
+  MEMPOOL_CHECK_MSG(false, "not a paper fabric: " << name);
+  return {0};
 }
 
 /// The single-load probe used to measure zero-load latencies precisely —

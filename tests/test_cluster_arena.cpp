@@ -83,7 +83,7 @@ INSTANTIATE_TEST_SUITE_P(Topologies, ClusterArenaLayout,
 // command/completion rings' initial storage) from the group's shard arena,
 // growing each arena beyond what the plain tcdm build uses.
 TEST(ClusterArenaLayout, MemoryEnginesLandInShardArenas) {
-  ClusterConfig plain = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig plain = ClusterConfig::mini("TopH", true);
   ClusterConfig l2 = plain;
   l2.memory = MemorySpec{"tcdm+l2"};
   l2.validate();
@@ -100,7 +100,7 @@ TEST(ClusterArenaLayout, MemoryEnginesLandInShardArenas) {
 // Steady-state stepping must not grow the arenas: construction carves out
 // everything up front, and a bounded-traffic run stays inside it.
 TEST(ClusterArenaLayout, SteadyStateAllocatesNothingFromArenas) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   ArenaTraffic t(cfg);
   std::vector<std::size_t> before;
   for (uint32_t s = 0; s < t.cluster->num_shards(); ++s) {

@@ -9,10 +9,10 @@
 namespace mempool {
 namespace {
 
-class ClusterTopo : public ::testing::TestWithParam<Topology> {};
+class ClusterTopo : public ::testing::TestWithParam<test::PaperFabric> {};
 
 TEST_P(ClusterTopo, EveryCoreStoresAndLoadsItsOwnWord) {
-  const ClusterConfig cfg = ClusterConfig::mini(GetParam(), true);
+  const ClusterConfig cfg = ClusterConfig::mini(GetParam().name(), true);
   auto sys = test::run_text(cfg, R"(
     _start:
       csrr a0, mhartid
@@ -34,7 +34,7 @@ TEST_P(ClusterTopo, EveryCoreStoresAndLoadsItsOwnWord) {
 TEST_P(ClusterTopo, AllToAllStoresLand) {
   // Each core writes a word into *every tile's* sequential region; the sum
   // of everything must match. Exercises all paths of the fabric.
-  const ClusterConfig cfg = ClusterConfig::mini(GetParam(), true);
+  const ClusterConfig cfg = ClusterConfig::mini(GetParam().name(), true);
   auto sys = test::run_text(cfg, R"(
     _start:
       csrr a0, mhartid
@@ -63,14 +63,16 @@ TEST_P(ClusterTopo, AllToAllStoresLand) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, ClusterTopo,
-                         ::testing::Values(Topology::kTopX, Topology::kTopH,
-                                           Topology::kTop4, Topology::kTop1),
+                         ::testing::Values(test::paper_fabric("TopX"),
+                                           test::paper_fabric("TopH"),
+                                           test::paper_fabric("Top4"),
+                                           test::paper_fabric("Top1")),
                          [](const auto& tpinfo) {
-                           return topology_name(tpinfo.param);
+                           return std::string(tpinfo.param.name());
                          });
 
 TEST(ClusterIntegration, BarrierRepeatedRounds) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   const kernels::RuntimeLayout layout = kernels::make_runtime_layout(cfg);
   isa::Assembler a;
   kernels::emit_crt0(a, cfg, 256);
@@ -117,7 +119,7 @@ TEST(ClusterIntegration, BarrierRepeatedRounds) {
 
 TEST(ClusterIntegration, DeterministicAcrossRuns) {
   auto run_once = [] {
-    const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+    const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
     auto sys = test::run_text(cfg, R"(
       _start:
         csrr a0, mhartid
@@ -133,7 +135,7 @@ TEST(ClusterIntegration, DeterministicAcrossRuns) {
 }
 
 TEST(ClusterIntegration, FabricDrainsAfterHalt) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTop1, true);
+  const ClusterConfig cfg = ClusterConfig::mini("Top1", true);
   auto sys = test::run_text(cfg, R"(
     _start:
       csrr a0, mhartid
@@ -153,8 +155,8 @@ TEST(ClusterIntegration, FabricDrainsAfterHalt) {
 TEST(ClusterIntegration, ScramblingOffSpreadsSequentialAddresses) {
   // With scrambling off the "tile 3 sequential region" address lands in a
   // bank chosen by the interleaved map instead.
-  const ClusterConfig on_cfg = ClusterConfig::mini(Topology::kTopH, true);
-  const ClusterConfig off_cfg = ClusterConfig::mini(Topology::kTopH, false);
+  const ClusterConfig on_cfg = ClusterConfig::mini("TopH", true);
+  const ClusterConfig off_cfg = ClusterConfig::mini("TopH", false);
   const MemoryLayout on(on_cfg), off(off_cfg);
   const uint32_t addr = 3 * 4096 + 64;  // inside tile 3's region when on
   EXPECT_EQ(on.locate(addr).tile, 3u);
@@ -162,16 +164,16 @@ TEST(ClusterIntegration, ScramblingOffSpreadsSequentialAddresses) {
 }
 
 TEST(ClusterIntegration, InvalidConfigsRejected) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.num_tiles = 8;  // not 4^k per group
   EXPECT_THROW(cfg.validate(), CheckError);
-  ClusterConfig cfg2 = ClusterConfig::mini(Topology::kTop1, true);
+  ClusterConfig cfg2 = ClusterConfig::mini("Top1", true);
   cfg2.num_tiles = 32;  // not a power of 4
   EXPECT_THROW(cfg2.validate(), CheckError);
 }
 
 TEST(ClusterIntegration, CoreStatsAccounting) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   auto sys = test::run_text(cfg, test::only_core0(R"(
     li a1, 0x20000
     lw a2, 0(a1)

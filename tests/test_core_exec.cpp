@@ -9,7 +9,7 @@ namespace mempool {
 namespace {
 
 uint32_t exec0(const std::string& body) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopX, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopX", true);
   auto sys = test::run_text(cfg, test::only_core0(body));
   return sys->core(0).exit_code();
 }
@@ -191,7 +191,7 @@ TEST(Exec, DivRemEdgeCases) {
 
 TEST(Exec, CsrReads) {
   EXPECT_EQ(exec0("csrr a1, mhartid\n" + exit_with("a1")), 0u);
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopX, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopX", true);
   auto sys = test::run_text(cfg, test::only_core0(
       "csrr a1, numcores\n" + exit_with("a1")));
   EXPECT_EQ(sys->core(0).exit_code(), cfg.num_cores());
@@ -228,7 +228,7 @@ TEST(Exec, MscratchReadWrite) {
 }
 
 TEST(Exec, EcallHaltsWithA0) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopX, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopX", true);
   auto sys = test::run_text(cfg, R"(
     _start:
       csrr a0, mhartid
@@ -241,7 +241,7 @@ TEST(Exec, EcallHaltsWithA0) {
 }
 
 TEST(Exec, ConsolePutchar) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopX, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopX", true);
   auto sys = test::run_text(cfg, test::only_core0(R"(
     li t0, 0xC0000004
     li t1, 72      # 'H'

@@ -7,7 +7,7 @@
 namespace mempool {
 namespace {
 
-uint32_t exec0(Topology topo, const std::string& body) {
+uint32_t exec0(const TopologySpec& topo, const std::string& body) {
   const ClusterConfig cfg = ClusterConfig::mini(topo, true);
   auto sys = test::run_text(cfg, test::only_core0(body));
   return sys->core(0).exit_code();
@@ -17,10 +17,11 @@ std::string exit_with(const std::string& reg) {
   return "li t6, 0xC0000000\n sw " + reg + ", 0(t6)\n";
 }
 
-class MemOpsAllTopologies : public ::testing::TestWithParam<Topology> {};
+class MemOpsAllTopologies
+    : public ::testing::TestWithParam<test::PaperFabric> {};
 
 TEST_P(MemOpsAllTopologies, StoreLoadRoundTrip) {
-  EXPECT_EQ(exec0(GetParam(), R"(
+  EXPECT_EQ(exec0(GetParam().name(), R"(
     li a1, 0x20000
     li a2, 0xBEEF
     sw a2, 0(a1)
@@ -29,7 +30,7 @@ TEST_P(MemOpsAllTopologies, StoreLoadRoundTrip) {
 }
 
 TEST_P(MemOpsAllTopologies, SubwordLoadsSignAndZeroExtend) {
-  EXPECT_EQ(exec0(GetParam(), R"(
+  EXPECT_EQ(exec0(GetParam().name(), R"(
     li a1, 0x20000
     li a2, 0x80
     sb a2, 1(a1)
@@ -37,7 +38,7 @@ TEST_P(MemOpsAllTopologies, SubwordLoadsSignAndZeroExtend) {
     lbu a4, 1(a1)      # zero-extended 128
     add a5, a3, a4     # -128 + 128 = 0
   )" + exit_with("a5")), 0u);
-  EXPECT_EQ(exec0(GetParam(), R"(
+  EXPECT_EQ(exec0(GetParam().name(), R"(
     li a1, 0x20000
     li a2, 0x8000
     sh a2, 2(a1)
@@ -48,7 +49,7 @@ TEST_P(MemOpsAllTopologies, SubwordLoadsSignAndZeroExtend) {
 }
 
 TEST_P(MemOpsAllTopologies, SubwordStoresMergeIntoWord) {
-  const ClusterConfig cfg = ClusterConfig::mini(GetParam(), true);
+  const ClusterConfig cfg = ClusterConfig::mini(GetParam().name(), true);
   auto sys = test::run_text(cfg, test::only_core0(R"(
     li a1, 0x20000
     li a2, 0x11223344
@@ -64,7 +65,7 @@ TEST_P(MemOpsAllTopologies, SubwordStoresMergeIntoWord) {
 }
 
 TEST_P(MemOpsAllTopologies, AmoAddReturnsOldAndUpdates) {
-  EXPECT_EQ(exec0(GetParam(), R"(
+  EXPECT_EQ(exec0(GetParam().name(), R"(
     li a1, 0x20040
     li a2, 10
     sw a2, 0(a1)
@@ -76,7 +77,7 @@ TEST_P(MemOpsAllTopologies, AmoAddReturnsOldAndUpdates) {
 }
 
 TEST_P(MemOpsAllTopologies, LrScLoop) {
-  EXPECT_EQ(exec0(GetParam(), R"(
+  EXPECT_EQ(exec0(GetParam().name(), R"(
     li a1, 0x20080
     li a2, 5
     sw a2, 0(a1)
@@ -92,7 +93,7 @@ TEST_P(MemOpsAllTopologies, LrScLoop) {
 TEST_P(MemOpsAllTopologies, PostedStoreThenLoadSameAddressOrdered) {
   // Single path per master/bank pair + FIFO queues: the load must observe
   // the store even though stores are posted.
-  EXPECT_EQ(exec0(GetParam(), R"(
+  EXPECT_EQ(exec0(GetParam().name(), R"(
     li a1, 0x20100
     li a2, 1
     li a3, 0
@@ -107,15 +108,17 @@ TEST_P(MemOpsAllTopologies, PostedStoreThenLoadSameAddressOrdered) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, MemOpsAllTopologies,
-                         ::testing::Values(Topology::kTopX, Topology::kTopH,
-                                           Topology::kTop4, Topology::kTop1),
+                         ::testing::Values(test::paper_fabric("TopX"),
+                                           test::paper_fabric("TopH"),
+                                           test::paper_fabric("Top4"),
+                                           test::paper_fabric("Top1")),
                          [](const auto& tpinfo) {
-                           return topology_name(tpinfo.param);
+                           return std::string(tpinfo.param.name());
                          });
 
 TEST(MemOps, AtomicCounterAcrossAllCores) {
   // Every core of the 64-core mini cluster increments one counter 8 times.
-  for (Topology topo : {Topology::kTopH, Topology::kTop1}) {
+  for (const char* topo : {"TopH", "Top1"}) {
     const ClusterConfig cfg = ClusterConfig::mini(topo, true);
     auto sys = test::run_text(cfg, R"(
       _start:
@@ -137,7 +140,7 @@ TEST(MemOps, OutstandingLoadsBoundedByRob) {
   // With a 2-entry ROB, a burst of independent 5-cycle remote loads must
   // stall on the ROB (local 1-cycle loads retire as fast as they issue, so
   // the target is tile 5's sequential region: remote group, 5 cycles).
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.core.num_outstanding = 2;
   auto sys = test::run_text(cfg, test::only_core0(R"(
     li a1, 0x5000
@@ -154,7 +157,7 @@ TEST(MemOps, OutstandingLoadsBoundedByRob) {
 
 TEST(MemOps, ScoreboardInterlocksLoadUse) {
   // A dependent use right after a remote (5-cycle) load must stall.
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   auto sys = test::run_text(cfg, test::only_core0(R"(
     li a1, 0x5000    # tile 5's sequential region: remote group
     lw a2, 0(a1)
@@ -168,7 +171,7 @@ TEST(MemOps, ScoreboardInterlocksLoadUse) {
 TEST(MemOps, LocalLoadUseHasNoStall) {
   // The flip side: a local 1-cycle load is usable by the next instruction
   // without any scoreboard stall (Section III-B's single-cycle bank port).
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   auto sys = test::run_text(cfg, test::only_core0(R"(
     li a1, 0x0       # own tile's sequential region
     lw a2, 0(a1)
@@ -180,7 +183,7 @@ TEST(MemOps, LocalLoadUseHasNoStall) {
 }
 
 TEST(MemOps, MisalignedAccessFaults) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopX, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopX", true);
   auto sys = std::make_unique<System>(cfg);
   sys->load_program(isa::assemble_text(test::only_core0(R"(
     li a1, 0x20001
@@ -190,7 +193,7 @@ TEST(MemOps, MisalignedAccessFaults) {
 }
 
 TEST(MemOps, UnmappedAddressFaults) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopX, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopX", true);
   auto sys = std::make_unique<System>(cfg);
   sys->load_program(isa::assemble_text(test::only_core0(R"(
     li a1, 0x40000000
@@ -201,7 +204,7 @@ TEST(MemOps, UnmappedAddressFaults) {
 
 TEST(MemOps, LocalRemoteClassification) {
   // Core 0 (tile 0): its tile's sequential region is local, tile 5's remote.
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   auto sys = test::run_text(cfg, test::only_core0(R"(
     li a1, 0x0        # own sequential region (tile 0, scrambling on)
     lw a2, 0(a1)

@@ -192,19 +192,19 @@ TEST(TopH2, SupergroupsParamIsHonored) {
 // --- validate() death tests over the new spec surface -------------------------
 
 TEST(ClusterValidate, ZeroGroupsRejected) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.num_groups = 0;
   EXPECT_THROW(cfg.validate(), CheckError);
 }
 
 TEST(ClusterValidate, NonDividingGroupsRejected) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.num_groups = 3;  // 16 % 3 != 0
   EXPECT_THROW(cfg.validate(), CheckError);
 }
 
 TEST(ClusterValidate, UnknownSpecParamRejected) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.topology.params["bogus"] = Json(1);
   EXPECT_THROW(cfg.validate(), CheckError);
 }
@@ -231,7 +231,7 @@ TEST(FabricEnergy, TopHRowsMatchTheCalibratedModel) {
   // The TopH plugin's analytic rows restate the EnergyModel identities the
   // whole Figure-10 calibration rests on (16.9 / 8.4 pJ).
   const EnergyModel model;
-  const ClusterConfig cfg = ClusterConfig::paper(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::paper("TopH", true);
   const auto rows =
       FabricRegistry::get("TopH").energy_rows(cfg, model.params());
   ASSERT_EQ(rows.size(), 3u);

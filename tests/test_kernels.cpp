@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "helpers.hpp"
 #include "kernels/conv2d.hpp"
 #include "kernels/dct.hpp"
 #include "kernels/golden.hpp"
@@ -21,11 +22,11 @@ uint64_t run_on(const ClusterConfig& cfg, const KernelProgram& kp) {
   return kernels::run_kernel(sys, kp, 10'000'000);
 }
 
-using TopoScramble = std::tuple<Topology, bool>;
+using TopoScramble = std::tuple<test::PaperFabric, bool>;
 
 std::string topo_scramble_name(
     const ::testing::TestParamInfo<TopoScramble>& info) {
-  std::string n = topology_name(std::get<0>(info.param));
+  std::string n = std::get<0>(info.param).name();
   if (std::get<1>(info.param)) n += "S";
   return n;
 }
@@ -34,32 +35,34 @@ class KernelMatrix : public ::testing::TestWithParam<TopoScramble> {};
 
 TEST_P(KernelMatrix, MatmulVerifies) {
   const auto [topo, scramble] = GetParam();
-  const ClusterConfig cfg = ClusterConfig::mini(topo, scramble);
+  const ClusterConfig cfg = ClusterConfig::mini(topo.name(), scramble);
   EXPECT_GT(run_on(cfg, kernels::build_matmul(cfg, 16)), 0u);
 }
 
 TEST_P(KernelMatrix, Conv2dVerifies) {
   const auto [topo, scramble] = GetParam();
-  const ClusterConfig cfg = ClusterConfig::mini(topo, scramble);
+  const ClusterConfig cfg = ClusterConfig::mini(topo.name(), scramble);
   EXPECT_GT(run_on(cfg, kernels::build_conv2d(cfg, 64)), 0u);
 }
 
 TEST_P(KernelMatrix, DctVerifies) {
   const auto [topo, scramble] = GetParam();
-  const ClusterConfig cfg = ClusterConfig::mini(topo, scramble);
+  const ClusterConfig cfg = ClusterConfig::mini(topo.name(), scramble);
   EXPECT_GT(run_on(cfg, kernels::build_dct(cfg)), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, KernelMatrix,
-    ::testing::Combine(::testing::Values(Topology::kTopX, Topology::kTopH,
-                                         Topology::kTop4, Topology::kTop1),
+    ::testing::Combine(::testing::Values(test::paper_fabric("TopX"),
+                                         test::paper_fabric("TopH"),
+                                         test::paper_fabric("Top4"),
+                                         test::paper_fabric("Top1")),
                        ::testing::Bool()),
     topo_scramble_name);
 
 TEST(KernelTiled, DoubleBufferedVerifiesOnL2) {
   // Working set in L2, streamed through SPM double buffers by the DMA.
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"tcdm+l2"};
   cfg.validate();
   kernels::TiledMatmulParams p;
@@ -73,7 +76,7 @@ TEST(KernelTiled, DoubleBufferedVerifiesOnL2) {
 }
 
 TEST(KernelTiled, SerializedVariantVerifiesAndIsSlower) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"tcdm+l2"};
   cfg.validate();
   kernels::TiledMatmulParams p;
@@ -92,7 +95,7 @@ TEST(KernelTiled, SerializedVariantVerifiesAndIsSlower) {
 }
 
 TEST(KernelTiled, RejectsDmalessMemorySystem) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   EXPECT_THROW(kernels::build_matmul_tiled(cfg, kernels::TiledMatmulParams{}),
                CheckError);
 }
@@ -100,8 +103,8 @@ TEST(KernelTiled, RejectsDmalessMemorySystem) {
 TEST(KernelOrdering, ScrambledDctBeatsUnscrambled) {
   // The paper's headline claim for dct: with the scrambling logic all
   // accesses are local; without it the stacks/blocks spread over all tiles.
-  const ClusterConfig on = ClusterConfig::mini(Topology::kTopH, true);
-  const ClusterConfig off = ClusterConfig::mini(Topology::kTopH, false);
+  const ClusterConfig on = ClusterConfig::mini("TopH", true);
+  const ClusterConfig off = ClusterConfig::mini("TopH", false);
   const uint64_t cy_on = run_on(on, kernels::build_dct(on));
   const uint64_t cy_off = run_on(off, kernels::build_dct(off));
   EXPECT_LT(cy_on, cy_off);
@@ -110,8 +113,7 @@ TEST(KernelOrdering, ScrambledDctBeatsUnscrambled) {
 TEST(KernelOrdering, TopologyOrderOnMatmul) {
   // matmul is remote-dominated: TopX <= TopH <= Top1, Top4 <= Top1.
   uint64_t cycles[4];
-  const Topology topos[] = {Topology::kTopX, Topology::kTopH, Topology::kTop4,
-                            Topology::kTop1};
+  const char* const topos[] = {"TopX", "TopH", "Top4", "Top1"};
   for (int i = 0; i < 4; ++i) {
     const ClusterConfig cfg = ClusterConfig::mini(topos[i], true);
     cycles[i] = run_on(cfg, kernels::build_matmul(cfg, 16));
@@ -170,12 +172,12 @@ TEST(KernelGolden, DctConstantBlockHasOnlyDc) {
 }
 
 TEST(KernelBuild, RejectsIndivisibleWork) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   EXPECT_THROW(kernels::build_matmul(cfg, 4), CheckError);  // 16 outputs, 64 cores
 }
 
 TEST(KernelRuntime, LayoutPlacesBarrierInSameBank) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   const auto layout = kernels::make_runtime_layout(cfg);
   const MemoryLayout mem(cfg);
   const BankLocation count = mem.locate(layout.barrier_count);

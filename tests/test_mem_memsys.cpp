@@ -51,13 +51,13 @@ TEST(MemoryRegistry, UnknownNameListsAvailable) {
 }
 
 TEST(MemoryRegistry, UnknownSpecNameFailsValidation) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"no-such-memory"};
   EXPECT_THROW(cfg.validate(), CheckError);
 }
 
 TEST(MemoryRegistry, UnknownParamRejected) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"tcdm+l2", {{"l2_size", Json(uint64_t{1024})}}};
   try {
     cfg.validate();
@@ -69,13 +69,13 @@ TEST(MemoryRegistry, UnknownParamRejected) {
 }
 
 TEST(MemoryRegistry, IllTypedParamRejected) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"tcdm+l2", {{"l2_latency", Json("fast")}}};
   EXPECT_THROW(cfg.validate(), CheckError);
 }
 
 TEST(MemoryRegistry, BadL2GeometryRejected) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"tcdm+l2", {{"l2_bytes", Json(uint64_t{100})}}};
   EXPECT_THROW(cfg.validate(), CheckError);
   cfg.memory = MemorySpec{"tcdm+l2", {{"l2_latency", Json(uint64_t{0})}}};
@@ -88,7 +88,7 @@ TEST(MemoryRegistry, BadL2GeometryRejected) {
 // --- satellite: sequential-region validation ----------------------------------
 
 TEST(SeqRegionValidation, NonPowerOfTwoListsValidValues) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.seq_region_bytes = 3000;
   try {
     cfg.validate();
@@ -103,7 +103,7 @@ TEST(SeqRegionValidation, NonPowerOfTwoListsValidValues) {
 }
 
 TEST(SeqRegionValidation, BelowOneSweepListsValidValues) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.seq_region_bytes = 32;  // one sweep of 16 banks is 64 B
   try {
     cfg.validate();
@@ -116,7 +116,7 @@ TEST(SeqRegionValidation, BelowOneSweepListsValidValues) {
 }
 
 TEST(SeqRegionValidation, AboveTileShareListsValidValues) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.seq_region_bytes = 32768;  // tile share is 16 KiB
   try {
     cfg.validate();
@@ -131,7 +131,7 @@ TEST(SeqRegionValidation, AboveTileShareListsValidValues) {
 TEST(SeqRegionValidation, ClusterCtorFailsWithClearMessage) {
   // The construction path must fail in validate(), with the explanatory
   // message — not via a bare CHECK inside Scrambler.
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.seq_region_bytes = 5000;
   InstrMem imem(4096);
   try {
@@ -144,7 +144,7 @@ TEST(SeqRegionValidation, ClusterCtorFailsWithClearMessage) {
 }
 
 TEST(SeqRegionValidation, NonPow2GeometryNamesField) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.banks_per_tile = 12;
   try {
     cfg.validate();
@@ -158,7 +158,7 @@ TEST(SeqRegionValidation, NonPow2GeometryNamesField) {
 // --- energy / floorplan hooks -------------------------------------------------
 
 TEST(MemorySystemHooks, EnergyRowsAndArea) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   const EnergyParams p;
   const MemorySystem& tcdm = MemoryRegistry::get("tcdm");
   EXPECT_TRUE(tcdm.energy_rows(cfg, p).empty());
@@ -176,7 +176,7 @@ TEST(MemorySystemHooks, EnergyRowsAndArea) {
 // --- DMA engine end to end ----------------------------------------------------
 
 ClusterConfig l2_mini(EngineMode /*mode*/ = EngineMode::kActive) {
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"tcdm+l2"};
   cfg.validate();
   return cfg;
@@ -365,7 +365,7 @@ TEST(DmaEngine, MalformedDescriptorsAbortLoudly) {
 }
 
 TEST(DmaEngine, TcdmHasNoPortalAndCsrAborts) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   InstrMem imem(4096);
   Cluster cluster(cfg, &imem);
   EXPECT_EQ(cluster.dma_portal(0), nullptr);

@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
+#include "helpers.hpp"
 #include "mem/imem.hpp"
 #include "noc/butterfly.hpp"
 #include "noc/monitor.hpp"
@@ -61,10 +62,11 @@ struct GenRig {
   std::vector<std::unique_ptr<TrafficGenerator>> gens;
 };
 
-class FabricConservation : public ::testing::TestWithParam<Topology> {};
+class FabricConservation
+    : public ::testing::TestWithParam<test::PaperFabric> {};
 
 TEST_P(FabricConservation, EveryRequestGetsExactlyOneResponse) {
-  const ClusterConfig cfg = ClusterConfig::mini(GetParam(), false);
+  const ClusterConfig cfg = ClusterConfig::mini(GetParam().name(), false);
   GenRig rig(cfg, 0.2, 7);
   rig.engine.run(2000);  // generation stops at cycle 2000
   // Drain: run until queues empty, fabric idle, and counts balance.
@@ -81,10 +83,12 @@ TEST_P(FabricConservation, EveryRequestGetsExactlyOneResponse) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, FabricConservation,
-                         ::testing::Values(Topology::kTop1, Topology::kTop4,
-                                           Topology::kTopH, Topology::kTopX),
+                         ::testing::Values(test::paper_fabric("Top1"),
+                                           test::paper_fabric("Top4"),
+                                           test::paper_fabric("TopH"),
+                                           test::paper_fabric("TopX")),
                          [](const auto& tpinfo) {
-                           return topology_name(tpinfo.param);
+                           return std::string(tpinfo.param.name());
                          });
 
 // Point-to-point ordering: a probe that issues N loads to the SAME bank must
@@ -119,10 +123,10 @@ class OrderProbe final : public Client {
   std::size_t next_ = 0;
 };
 
-class FabricOrdering : public ::testing::TestWithParam<Topology> {};
+class FabricOrdering : public ::testing::TestWithParam<test::PaperFabric> {};
 
 TEST_P(FabricOrdering, SameBankResponsesArriveInIssueOrder) {
-  const ClusterConfig cfg = ClusterConfig::mini(GetParam(), true);
+  const ClusterConfig cfg = ClusterConfig::mini(GetParam().name(), true);
   InstrMem imem(4096);
   Engine engine;
   Cluster cluster(cfg, &imem);
@@ -153,10 +157,12 @@ TEST_P(FabricOrdering, SameBankResponsesArriveInIssueOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, FabricOrdering,
-                         ::testing::Values(Topology::kTop1, Topology::kTop4,
-                                           Topology::kTopH, Topology::kTopX),
+                         ::testing::Values(test::paper_fabric("Top1"),
+                                           test::paper_fabric("Top4"),
+                                           test::paper_fabric("TopH"),
+                                           test::paper_fabric("TopX")),
                          [](const auto& tpinfo) {
-                           return topology_name(tpinfo.param);
+                           return std::string(tpinfo.param.name());
                          });
 
 TEST(FabricFairness, SaturatedButterflyNeverStarvesAnInput) {
@@ -216,7 +222,7 @@ TEST(FabricFairness, SaturatedButterflyNeverStarvesAnInput) {
 TEST(FabricThroughput, SingleBankSerializesAtOnePerCycle) {
   // 64 generators all target one bank: accepted throughput is bounded by the
   // bank's single port regardless of topology.
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   InstrMem imem(4096);
   Engine engine;
   Cluster cluster(cfg, &imem);
@@ -256,7 +262,7 @@ TEST(FabricThroughput, SingleBankSerializesAtOnePerCycle) {
 TEST(FabricThroughput, DisjointTrafficScalesLinearly) {
   // Each core loads only from its own tile: no shared resource, so the whole
   // cluster sustains ~1 load/core/cycle.
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   InstrMem imem(4096);
   Engine engine;
   Cluster cluster(cfg, &imem);

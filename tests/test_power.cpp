@@ -55,7 +55,7 @@ TEST(EnergyModel, SameGroupLoadBetweenLocalAndCrossGroup) {
 }
 
 TEST(EnergyModel, MeasuredRunIsConsistent) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   System sys(cfg);
   kernels::run_kernel(sys, kernels::build_matmul(cfg, 16), 5'000'000);
   const EnergyModel m;
@@ -77,7 +77,7 @@ TEST(EnergyModel, LocalKernelAvoidsGlobalInterconnectEnergy) {
   // issues far more memory operations per instruction) — the discriminator
   // is the global interconnect: matmul crosses it constantly, dct almost
   // never.
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   const EnergyModel m;
   System s1(cfg);
   kernels::run_kernel(s1, kernels::build_matmul(cfg, 16), 5'000'000);

@@ -142,11 +142,11 @@ namespace {
 
 SweepResult small_sweep() {
   SweepSpec spec;
-  spec.base.cluster = ClusterConfig::mini(Topology::kTopH, true);
+  spec.base.cluster = ClusterConfig::mini("TopH", true);
   spec.base.warmup_cycles = 50;
   spec.base.measure_cycles = 200;
   spec.base.drain_cycles = 100;
-  spec.topologies = {Topology::kTop1, Topology::kTopH};
+  spec.topologies = {"Top1", "TopH"};
   spec.lambdas = {0.1, 0.25};
   spec.seeds = {7};
   spec.paper_cluster = false;
@@ -192,39 +192,6 @@ TEST(SweepJson, WritesV3WithSelfDescribingTopologyAndMemory) {
   EXPECT_TRUE(first.at("memory").at("params").is_object());
 }
 
-TEST(SweepJson, ReadsLegacyV2Documents) {
-  // A pre-memory-registry v2 file ({name, params} topology, no "memory"
-  // member) pinned verbatim: the compat reader must default the memory
-  // system to tcdm and round-trip through the v3 writer bit-identically.
-  const std::string v2 = R"({
-    "schema": "mempool.sweep.v2",
-    "threads": 4,
-    "wall_seconds": 1.25,
-    "points": [
-      {"topology": {"name": "TopH2", "params": {"supergroups": 4}},
-       "scrambling": false, "num_tiles": 256,
-       "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
-       "seq_region_bytes": 4096, "num_groups": 16,
-       "lambda": 0.1, "p_local": 0.0, "seed": 3, "engine": "sharded",
-       "sim_threads": 4,
-       "warmup_cycles": 100, "measure_cycles": 400, "drain_cycles": 200,
-       "offered": 0.1, "generated": 0.0999, "accepted": 0.0998,
-       "avg_latency": 6.5, "p95_latency": 12.0, "max_latency": 40.0,
-       "completed": 10240}
-    ]
-  })";
-  const SweepResult back = sweep_from_json(Json::parse(v2));
-  ASSERT_EQ(back.points.size(), 1u);
-  EXPECT_EQ(back.configs[0].cluster.topology.name, "TopH2");
-  EXPECT_EQ(back.configs[0].cluster.memory, MemorySpec{"tcdm"});
-  EXPECT_EQ(back.configs[0].engine, EngineMode::kSharded);
-
-  const SweepResult again = sweep_from_json(sweep_to_json(back));
-  ASSERT_EQ(again.points.size(), 1u);
-  EXPECT_EQ(again.points[0], back.points[0]);
-  EXPECT_EQ(again.configs[0].cluster.memory, back.configs[0].cluster.memory);
-}
-
 TEST(SweepJson, MemorySpecParamsRoundTrip) {
   SweepResult original = small_sweep();
   for (auto& cfg : original.configs) {
@@ -261,43 +228,6 @@ TEST(SweepJson, RejectsUnknownMemoryNamingAvailable) {
   }
 }
 
-TEST(SweepJson, ReadsLegacyV1Documents) {
-  // A pre-registry v1 file (bare topology name strings) pinned verbatim:
-  // the back-compat reader must resolve it against the registry and
-  // round-trip it through the v2 writer bit-identically.
-  const std::string v1 = R"({
-    "schema": "mempool.sweep.v1",
-    "threads": 2,
-    "wall_seconds": 0.5,
-    "points": [
-      {"topology": "TopH", "scrambling": true, "num_tiles": 16,
-       "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
-       "seq_region_bytes": 4096, "num_groups": 4,
-       "lambda": 0.25, "p_local": 0.5, "seed": 7, "engine": "dense",
-       "warmup_cycles": 50, "measure_cycles": 200, "drain_cycles": 100,
-       "offered": 0.25, "generated": 0.251, "accepted": 0.249,
-       "avg_latency": 4.125, "p95_latency": 9.0, "max_latency": 31.0,
-       "completed": 3210}
-    ]
-  })";
-  const SweepResult back = sweep_from_json(Json::parse(v1));
-  ASSERT_EQ(back.points.size(), 1u);
-  EXPECT_EQ(back.configs[0].cluster.topology, TopologySpec{"TopH"});
-  EXPECT_EQ(back.configs[0].cluster.topology, Topology::kTopH);
-  EXPECT_TRUE(back.configs[0].cluster.scrambling);
-  EXPECT_EQ(back.configs[0].engine, EngineMode::kDense);
-  EXPECT_EQ(back.configs[0].seed, 7u);
-  EXPECT_DOUBLE_EQ(back.points[0].avg_latency, 4.125);
-  EXPECT_EQ(back.points[0].completed, 3210u);
-
-  // v1 -> v2 -> read: identical result either way.
-  const SweepResult again = sweep_from_json(sweep_to_json(back));
-  ASSERT_EQ(again.points.size(), 1u);
-  EXPECT_EQ(again.points[0], back.points[0]);
-  EXPECT_EQ(again.configs[0].cluster.topology,
-            back.configs[0].cluster.topology);
-}
-
 TEST(SweepJson, RejectsUnknownTopologyNamingAvailable) {
   const SweepResult original = small_sweep();
   Json doc = sweep_to_json(original);
@@ -324,9 +254,14 @@ TEST(SweepJson, RejectsUnknownTopologyNamingAvailable) {
 }
 
 TEST(SweepJson, RejectsWrongSchema) {
-  Json doc = Json::object();
-  doc.set("schema", "something.else.v9");
-  EXPECT_THROW(sweep_from_json(doc), CheckError);
+  // Only mempool.sweep.v3 is read; the pre-memory-registry v2 and the
+  // bare-topology-name v1 layouts are rejected like any other schema.
+  for (const char* schema :
+       {"something.else.v9", "mempool.sweep.v2", "mempool.sweep.v1"}) {
+    Json doc = Json::object();
+    doc.set("schema", schema);
+    EXPECT_THROW(sweep_from_json(doc), CheckError) << schema;
+  }
 }
 
 TEST(SweepJson, BenchEnvelopeShape) {
@@ -397,57 +332,19 @@ TEST(SpeedupJson, ReadsV3WithPaperPointBlock) {
     "aggregate_sharded_speedup": 1.0, "points": []
   })")),
                CheckError);
-}
 
-TEST(SpeedupJson, ReadsV2AndLegacyV1Documents) {
-  // mempool.speedup.v2: the sharded sim-threads axis rides along; the
-  // dense-to-active aggregate keeps its v1 meaning so any baseline compares.
-  const runner::SpeedupSummary v2 = runner::speedup_from_json(Json::parse(R"({
-    "schema": "mempool.speedup.v2",
-    "aggregate_speedup": 3.4,
-    "min_speedup": 2.0,
-    "aggregate_sharded_speedup": 3.1,
-    "host_cpus": 8,
-    "points": [
-      {"workload": "fig5", "topology": "TopH", "lambda": 0.05,
-       "dense_seconds": 0.2, "active_seconds": 0.1, "speedup": 2.0,
-       "sharded_seconds": {"1": 0.11, "2": 0.06, "4": 0.033, "8": 0.031},
-       "sharded_speedup": 3.2}
-    ]
-  })"));
-  EXPECT_EQ(v2.schema, "mempool.speedup.v2");
-  EXPECT_DOUBLE_EQ(v2.aggregate_speedup, 3.4);
-  EXPECT_DOUBLE_EQ(v2.min_speedup, 2.0);
-  EXPECT_DOUBLE_EQ(v2.aggregate_sharded_speedup, 3.1);
-  EXPECT_DOUBLE_EQ(v2.paper_cycles_per_second, 0.0);  // v3-only field
-  EXPECT_EQ(v2.num_points, 1u);
-
-  // Legacy v1 (committed baselines from before the sharded engine): sharded
-  // fields default to 0, everything else reads as written.
-  const runner::SpeedupSummary v1 = runner::speedup_from_json(Json::parse(R"({
-    "schema": "mempool.speedup.v1",
-    "aggregate_speedup": 3.0,
-    "min_speedup": 1.9,
-    "points": [
-      {"workload": "zero_load", "topology": "Top1", "lambda": 0.0,
-       "dense_seconds": 0.5, "active_seconds": 0.1, "speedup": 5.0},
-      {"workload": "fig5", "topology": "Top1", "lambda": 0.01,
-       "dense_seconds": 0.4, "active_seconds": 0.1, "speedup": 4.0}
-    ]
-  })"));
-  EXPECT_EQ(v1.schema, "mempool.speedup.v1");
-  EXPECT_DOUBLE_EQ(v1.aggregate_speedup, 3.0);
-  EXPECT_DOUBLE_EQ(v1.aggregate_sharded_speedup, 0.0);
-  EXPECT_EQ(v1.num_points, 2u);
-
-  EXPECT_THROW(runner::speedup_from_json(Json::parse(R"({"schema": "x"})")),
-               CheckError);
+  // Any other schema, older speedup versions included, is rejected.
+  for (const char* schema : {"x", "mempool.speedup.v2", "mempool.speedup.v1"}) {
+    Json doc = Json::object();
+    doc.set("schema", schema);
+    EXPECT_THROW(runner::speedup_from_json(doc), CheckError) << schema;
+  }
 }
 
 TEST(SweepJson, ShardedEngineRoundTrips) {
-  // A sharded point's engine + sim_threads survive the v2 round trip.
+  // A sharded point's engine + sim_threads survive the round trip.
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::mini(Topology::kTopH, false);
+  cfg.cluster = ClusterConfig::mini("TopH", false);
   cfg.engine = EngineMode::kSharded;
   cfg.sim_threads = 8;
   cfg.lambda = 0.1;
@@ -459,6 +356,59 @@ TEST(SweepJson, ShardedEngineRoundTrips) {
   ASSERT_EQ(back.configs.size(), 1u);
   EXPECT_EQ(back.configs[0].engine, EngineMode::kSharded);
   EXPECT_EQ(back.configs[0].sim_threads, 8u);
+
+  // A v3 file pinned verbatim: topology params, every engine name, and the
+  // measured values parse exactly, and the writer round-trips the result.
+  const std::string v3 = R"({
+    "schema": "mempool.sweep.v3",
+    "threads": 4,
+    "wall_seconds": 1.25,
+    "points": [
+      {"topology": {"name": "TopH2", "params": {"supergroups": 4}},
+       "memory": {"name": "tcdm", "params": {}},
+       "scrambling": false, "num_tiles": 256,
+       "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
+       "seq_region_bytes": 4096, "num_groups": 16,
+       "lambda": 0.1, "p_local": 0.0, "seed": 3, "engine": "sharded",
+       "sim_threads": 4,
+       "warmup_cycles": 100, "measure_cycles": 400, "drain_cycles": 200,
+       "offered": 0.1, "generated": 0.0999, "accepted": 0.0998,
+       "avg_latency": 6.5, "p95_latency": 12.0, "max_latency": 40.0,
+       "completed": 10240},
+      {"topology": {"name": "TopH", "params": {}},
+       "memory": {"name": "tcdm", "params": {}},
+       "scrambling": true, "num_tiles": 16,
+       "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
+       "seq_region_bytes": 4096, "num_groups": 4,
+       "lambda": 0.25, "p_local": 0.5, "seed": 7, "engine": "dense",
+       "warmup_cycles": 50, "measure_cycles": 200, "drain_cycles": 100,
+       "offered": 0.25, "generated": 0.251, "accepted": 0.249,
+       "avg_latency": 4.125, "p95_latency": 9.0, "max_latency": 31.0,
+       "completed": 3210}
+    ]
+  })";
+  const SweepResult pinned = sweep_from_json(Json::parse(v3));
+  ASSERT_EQ(pinned.points.size(), 2u);
+  EXPECT_EQ(pinned.configs[0].cluster.topology,
+            (TopologySpec{"TopH2", {{"supergroups", Json(uint64_t{4})}}}));
+  EXPECT_EQ(pinned.configs[0].engine, EngineMode::kSharded);
+  EXPECT_EQ(pinned.configs[0].sim_threads, 4u);
+  EXPECT_EQ(pinned.configs[1].cluster.topology, TopologySpec{"TopH"});
+  EXPECT_TRUE(pinned.configs[1].cluster.scrambling);
+  EXPECT_EQ(pinned.configs[1].engine, EngineMode::kDense);
+  EXPECT_EQ(pinned.configs[1].seed, 7u);
+  EXPECT_DOUBLE_EQ(pinned.points[1].avg_latency, 4.125);
+  EXPECT_EQ(pinned.points[1].completed, 3210u);
+  const SweepResult again = sweep_from_json(sweep_to_json(pinned));
+  ASSERT_EQ(again.points.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(again.points[i], pinned.points[i]) << "point " << i;
+    EXPECT_EQ(again.configs[i].cluster.topology,
+              pinned.configs[i].cluster.topology);
+    EXPECT_EQ(again.configs[i].cluster.memory,
+              pinned.configs[i].cluster.memory);
+    EXPECT_EQ(again.configs[i].engine, pinned.configs[i].engine);
+  }
 }
 
 }  // namespace

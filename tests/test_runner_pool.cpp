@@ -171,8 +171,7 @@ TEST(ThreadPoolIdle, WorkersParkAfterBoundedSpin) {
 // --- ShardGang: the sharded engine's cycle barrier --------------------------
 
 TEST(ShardGang, RunsEveryShardExactlyOncePerRound) {
-  ThreadPool pool(3);
-  ShardGang gang(&pool, 4);
+  ShardGang gang(/*sim_threads=*/4, /*num_shards=*/16);
   EXPECT_EQ(gang.threads(), 4u);
   std::vector<std::atomic<int>> hits(16);
   for (int round = 0; round < 1000; ++round) {
@@ -187,8 +186,7 @@ TEST(ShardGang, BarrierPublishesAllEffectsToTheLeader) {
   // run() is a full barrier: plain (non-atomic) per-shard writes must be
   // visible to the leader afterwards — exactly what the engine relies on for
   // its lanes. TSan runs this too.
-  ThreadPool pool(3);
-  ShardGang gang(&pool, 4);
+  ShardGang gang(/*sim_threads=*/4, /*num_shards=*/8);
   std::vector<uint64_t> lane(8, 0);
   for (int round = 0; round < 2000; ++round) {
     gang.run(8, [&](std::size_t s) { lane[s] += s + 1; });
@@ -197,9 +195,9 @@ TEST(ShardGang, BarrierPublishesAllEffectsToTheLeader) {
 }
 
 TEST(ShardGang, WorksWithoutAnyHelpers) {
-  // Degenerate but important: no pool (or a fully busy one) means the leader
-  // claims every shard itself — same results, no deadlock.
-  ShardGang gang(nullptr, 8);
+  // Degenerate but important: one sim thread means no helpers, and the
+  // leader claims every shard itself — same results, no deadlock.
+  ShardGang gang(/*sim_threads=*/1, /*num_shards=*/8);
   EXPECT_EQ(gang.threads(), 1u);
   int sum = 0;
   gang.run(5, [&](std::size_t s) { sum += static_cast<int>(s); });
@@ -209,8 +207,8 @@ TEST(ShardGang, WorksWithoutAnyHelpers) {
 TEST(ShardGang, HelpersParkWhenTheGangIsIdle) {
   // Satellite contract: a gang stepping a mostly-idle cluster (rounds far
   // apart) must not spin its helpers forever — bounded spin, then park.
-  ThreadPool pool(3);
-  ShardGang gang(&pool, 4);
+  ShardGang gang(/*sim_threads=*/8, /*num_shards=*/4);  // capped at 3 helpers
+  EXPECT_EQ(gang.threads(), 4u);
   gang.run(4, [](std::size_t) {});
   EXPECT_TRUE(eventually([&] { return gang.parked_helpers() == 3u; }))
       << "parked " << gang.parked_helpers() << " of 3 helpers";
@@ -222,8 +220,7 @@ TEST(ShardGang, HelpersParkWhenTheGangIsIdle) {
 }
 
 TEST(ShardGang, PropagatesTheFirstThrownError) {
-  ThreadPool pool(2);
-  ShardGang gang(&pool, 3);
+  ShardGang gang(/*sim_threads=*/3, /*num_shards=*/6);
   EXPECT_THROW(gang.run(6,
                         [&](std::size_t s) {
                           if (s == 3) throw std::runtime_error("shard 3");
@@ -233,19 +230,4 @@ TEST(ShardGang, PropagatesTheFirstThrownError) {
   std::atomic<int> hits{0};
   gang.run(6, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 6);
-}
-
-TEST(ShardGang, ManyGangsShareOnePoolWithoutDeadlock) {
-  // Sweep-level parallelism owning per-point gangs: helpers of one gang may
-  // never get scheduled while another holds the workers — participation is
-  // optional, so every gang still completes.
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  parallel_for(pool, 6, [&](std::size_t) {
-    ShardGang gang(&pool, 4);  // helpers submitted to an already-busy pool
-    for (int round = 0; round < 50; ++round) {
-      gang.run(4, [&](std::size_t) { total.fetch_add(1); });
-    }
-  });
-  EXPECT_EQ(total.load(), 6 * 50 * 4);
 }

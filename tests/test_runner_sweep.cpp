@@ -17,11 +17,11 @@ namespace {
 /// 2 localities x 3 loads x 2 seeds = 24 points, each cheap enough for CI.
 SweepSpec test_spec() {
   SweepSpec spec;
-  spec.base.cluster = ClusterConfig::mini(Topology::kTopH, true);
+  spec.base.cluster = ClusterConfig::mini("TopH", true);
   spec.base.warmup_cycles = 100;
   spec.base.measure_cycles = 400;
   spec.base.drain_cycles = 200;
-  spec.topologies = {Topology::kTop1, Topology::kTopH};
+  spec.topologies = {"Top1", "TopH"};
   spec.p_locals = {0.0, 0.5};
   spec.lambdas = {0.05, 0.15, 0.30};
   spec.seeds = {1, 42};
@@ -63,7 +63,7 @@ TEST(SweepSpec, ExpandIsRowMajorWithSeedInnermost) {
 
 TEST(SweepSpec, EmptyAxesInheritTheBaseConfig) {
   SweepSpec spec;
-  spec.base.cluster = ClusterConfig::mini(Topology::kTop4, false);
+  spec.base.cluster = ClusterConfig::mini("Top4", false);
   spec.base.lambda = 0.27;
   spec.base.p_local_seq = 0.13;
   spec.base.seed = 99;
@@ -72,7 +72,7 @@ TEST(SweepSpec, EmptyAxesInheritTheBaseConfig) {
   const auto cfgs = spec.expand();
   ASSERT_EQ(cfgs.size(), 2u);
   for (const auto& c : cfgs) {
-    EXPECT_EQ(c.cluster.topology, Topology::kTop4);
+    EXPECT_EQ(c.cluster.topology, "Top4");
     EXPECT_DOUBLE_EQ(c.p_local_seq, 0.13);
     EXPECT_EQ(c.seed, 99u);
   }
@@ -82,13 +82,13 @@ TEST(SweepSpec, EmptyAxesInheritTheBaseConfig) {
 
 TEST(SweepSpec, PaperClusterRebuildsPerTopology) {
   SweepSpec spec;
-  spec.base.cluster = ClusterConfig::paper(Topology::kTopH, true);
-  spec.topologies = {Topology::kTop1, Topology::kTopX};
+  spec.base.cluster = ClusterConfig::paper("TopH", true);
+  spec.topologies = {"Top1", "TopX"};
   const auto cfgs = spec.expand();
   ASSERT_EQ(cfgs.size(), 2u);
-  EXPECT_EQ(cfgs[0].cluster.topology, Topology::kTop1);
+  EXPECT_EQ(cfgs[0].cluster.topology, "Top1");
   EXPECT_TRUE(cfgs[0].cluster.scrambling);  // inherited from base
-  EXPECT_EQ(cfgs[1].cluster.topology, Topology::kTopX);
+  EXPECT_EQ(cfgs[1].cluster.topology, "TopX");
 }
 
 TEST(SweepSpec, PointLabelNamesTheAxes) {
@@ -138,7 +138,7 @@ TEST(Runner, ParallelPathMatchesSerialReference) {
 
 TEST(Runner, SeedAxisActuallyChangesTheRealization) {
   SweepSpec spec = test_spec();
-  spec.topologies = {Topology::kTopH};
+  spec.topologies = {"TopH"};
   spec.p_locals = {0.0};
   spec.lambdas = {0.15};
   spec.seeds = {1, 2};
@@ -155,7 +155,7 @@ TEST(Runner, RunPointsPreservesInputOrder) {
   std::vector<TrafficExperimentConfig> cfgs;
   for (double l : {0.3, 0.1, 0.2}) {  // deliberately not sorted
     TrafficExperimentConfig c;
-    c.cluster = ClusterConfig::mini(Topology::kTopH, true);
+    c.cluster = ClusterConfig::mini("TopH", true);
     c.lambda = l;
     c.warmup_cycles = 50;
     c.measure_cycles = 200;

@@ -19,7 +19,7 @@ namespace {
 
 SimRequest req(double lambda, uint64_t seed) {
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::mini(Topology::kTopH, true);
+  cfg.cluster = ClusterConfig::mini("TopH", true);
   cfg.lambda = lambda;
   cfg.seed = seed;
   return SimRequest::from_config(cfg);

@@ -21,7 +21,7 @@ SimRequest parse(const std::string& text) {
 /// A fast 64-core point for the run_point comparison.
 TrafficExperimentConfig mini_config() {
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::mini(Topology::kTopH, true);
+  cfg.cluster = ClusterConfig::mini("TopH", true);
   cfg.lambda = 0.1;
   cfg.warmup_cycles = 50;
   cfg.measure_cycles = 200;

@@ -30,7 +30,7 @@ namespace {
 SimRequest mini_request(double lambda, uint64_t seed,
                         uint64_t measure_cycles = 200) {
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::mini(Topology::kTopH, true);
+  cfg.cluster = ClusterConfig::mini("TopH", true);
   cfg.lambda = lambda;
   cfg.warmup_cycles = 50;
   cfg.measure_cycles = measure_cycles;

@@ -25,7 +25,7 @@ std::string test_socket(const char* tag) {
 
 SimRequest mini_request(double lambda, uint64_t seed) {
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::mini(Topology::kTopH, true);
+  cfg.cluster = ClusterConfig::mini("TopH", true);
   cfg.lambda = lambda;
   cfg.warmup_cycles = 50;
   cfg.measure_cycles = 200;

@@ -230,6 +230,30 @@ TEST(Engine, DenseRunUntilIdlePollsIdlePredicates) {
   EXPECT_EQ(rig.cons.received.size(), 2u);
 }
 
+TEST(Engine, InlineShardedProfileChargesNoBarrier) {
+  // Without an executor the sharded engine steps its lanes one after another
+  // on the calling thread: nobody waits at a barrier, so the profile charges
+  // the lanes' busy time to the work phases and nothing to "barrier".
+  Engine engine;
+  IntBuffer buf(BufferMode::kRegistered, /*capacity=*/4);
+  BurstProducer prod("prod", &buf, 200, 0);
+  CountingConsumer cons("cons", &buf);
+  buf.set_consumer(&cons);
+  buf.mark_shard_boundary(/*consumer_shard=*/1);
+  engine.add_component(&prod, /*shard=*/0);
+  engine.add_component(&cons, /*shard=*/1);
+  engine.add_clocked(&buf, /*shard=*/1);
+  engine.set_sharded(2, nullptr);
+  engine.set_profile(true);
+  engine.run(300);
+  ASSERT_EQ(cons.received.size(), 200u);
+  EXPECT_EQ(engine.parallel_cycles(), 0u);
+  const Engine::PhaseProfile& p = engine.phase_profile();
+  EXPECT_GT(p.cycles, 200u);
+  EXPECT_GT(p.evaluate_ns, 0u);
+  EXPECT_EQ(p.barrier_ns, 0u);
+}
+
 TEST(Engine, BackpressuredProducerStaysAwake) {
   // Tiny buffer, consumer that starts late: the producer must keep retrying
   // (it is non-idle while it still has items to send) and nothing is lost.

@@ -112,14 +112,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ShardedEquivalenceScrambled, HybridAddressingBitIdentical) {
   // Scrambled addressing reshuffles which banks (and therefore shards) the
   // generators hit; pin the boundary-buffer backpressure snapshot under it.
-  expect_sharded_equivalent(traffic_cfg(Topology::kTopH, true, 0.25, 0.5), 8,
+  expect_sharded_equivalent(traffic_cfg("TopH", true, 0.25, 0.5), 8,
                             "TopH scrambled sharded");
 }
 
 TEST(ShardedEquivalencePaper, PaperClusterMidLambda) {
   // One full-size (256-core) point at the λ = 0.05 perf-target load.
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::paper(Topology::kTopH, false);
+  cfg.cluster = ClusterConfig::paper("TopH", false);
   cfg.lambda = 0.05;
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 300;
@@ -165,7 +165,7 @@ TEST(ShardedEquivalenceDma, SnitchTiledMatmulBitIdentical) {
   // hierarchy's own counters all bit-identical between the active, dense,
   // and 8-thread sharded engines. Slice commands and completions cross the
   // shard commit barrier here; burst timers run on the per-shard wheels.
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"tcdm+l2"};
   cfg.validate();
   kernels::TiledMatmulParams tp;
@@ -214,7 +214,7 @@ TEST(ShardedEquivalenceDma, SnitchTiledMatmulBitIdentical) {
 TEST(EngineEquivalenceFig6, HybridAddressingPointsBitIdentical) {
   for (double p_local : {0.0, 0.5, 1.0}) {
     expect_engines_equivalent(
-        traffic_cfg(Topology::kTopH, true, 0.25, p_local),
+        traffic_cfg("TopH", true, 0.25, p_local),
         "TopH scrambled p_local=" + std::to_string(p_local));
   }
 }
@@ -222,7 +222,7 @@ TEST(EngineEquivalenceFig6, HybridAddressingPointsBitIdentical) {
 TEST(EngineEquivalenceZeroLoad, PaperClusterLowLambda) {
   // One full-size (256-core) point in the tab_zero_load regime.
   TrafficExperimentConfig cfg;
-  cfg.cluster = ClusterConfig::paper(Topology::kTopH, false);
+  cfg.cluster = ClusterConfig::paper("TopH", false);
   cfg.lambda = 0.01;
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 300;
@@ -249,7 +249,7 @@ TEST(EngineEquivalenceExec, SnitchProgramBitIdentical) {
       sw zero, 0(t6)
   )";
   auto run_one = [&](EngineMode mode) {
-    const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+    const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
     auto sys = std::make_unique<System>(cfg);
     sys->configure_engine(mode, mode == EngineMode::kSharded ? 8 : 1);
     sys->load_program(isa::assemble_text(src));
@@ -298,7 +298,7 @@ TEST(ShardedEquivalenceExec, SnitchMatmul256CoresBitIdentical) {
   // threads — cycles, aggregate core stats, result memory, and fabric
   // counters all bit-identical. Kernel barriers, I$ refills, AMOs, and the
   // cross-group response traffic all cross the commit barrier here.
-  const ClusterConfig cfg = ClusterConfig::paper(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::paper("TopH", true);
   const kernels::KernelProgram kp = kernels::build_matmul(cfg, 64);
   auto run_one = [&](EngineMode mode) {
     auto sys = std::make_unique<System>(cfg);
@@ -354,7 +354,7 @@ class CheckpointEquivalence : public ::testing::TestWithParam<EngineMode> {};
 
 TEST_P(CheckpointEquivalence, RestoredRunBitIdentical) {
   TrafficExperimentConfig cfg =
-      traffic_cfg(Topology::kTopH, true, 0.25, 0.5);
+      traffic_cfg("TopH", true, 0.25, 0.5);
   cfg.engine = GetParam();
   if (cfg.engine == EngineMode::kSharded) cfg.sim_threads = 4;
 
@@ -401,7 +401,7 @@ TEST(CheckpointEquivalence2, ActiveImageResumesUnderDenseNotSharded) {
   // sequential image, so that resume must be *refused* by the
   // monitor-count guard, never silently diverged.
   TrafficExperimentConfig cfg =
-      traffic_cfg(Topology::kTopH, false, 0.15, 0.0);
+      traffic_cfg("TopH", false, 0.15, 0.0);
   TrafficCounters c_plain;
   const TrafficPoint p_plain = run_traffic_point(cfg, &c_plain);
 
@@ -433,7 +433,7 @@ TEST(CheckpointEquivalence2, ActiveImageResumesUnderDenseNotSharded) {
 
 TEST(CheckpointEquivalence2, MismatchedKeyAndConfigAreRejected) {
   TrafficExperimentConfig cfg =
-      traffic_cfg(Topology::kTopH, false, 0.1, 0.0);
+      traffic_cfg("TopH", false, 0.1, 0.0);
   std::string image;
   CheckpointOptions save;
   save.checkpoint_every = 400;
@@ -450,7 +450,7 @@ TEST(CheckpointEquivalence2, MismatchedKeyAndConfigAreRejected) {
 
   // Wrong topology: component list differs, refused.
   TrafficExperimentConfig other =
-      traffic_cfg(Topology::kTop1, false, 0.1, 0.0);
+      traffic_cfg("Top1", false, 0.1, 0.0);
   CheckpointOptions same_key;
   same_key.key = "point-A";
   same_key.restore_from = &image;
@@ -467,7 +467,7 @@ TEST(CheckpointEquivalence2, MismatchedKeyAndConfigAreRejected) {
 TEST(ShardedEquivalenceWork, ShardedEvaluatesExactlyLikeActive) {
   // The scheduler-work counters themselves must match: the sharded engine
   // evaluates exactly the components the active engine would, no more.
-  TrafficExperimentConfig cfg = traffic_cfg(Topology::kTopH, false, 0.1, 0.0);
+  TrafficExperimentConfig cfg = traffic_cfg("TopH", false, 0.1, 0.0);
   auto evals = [&](EngineMode mode) {
     InstrMem imem(4096);
     Engine engine;
@@ -501,7 +501,12 @@ TEST(EngineEquivalenceWork, ActiveSetEvaluatesStrictlyLess) {
   // The point of the scheduler: at low load the active engine must evaluate
   // far fewer components than the dense sweep (deterministic work proxy for
   // the ≥3x wall-clock target measured by bench/micro_sim_speed).
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, false);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", false);
+  constexpr uint64_t kCycles = 2000;
+  struct Work {
+    uint64_t evaluations, commits, completed;
+    std::size_t components, clocked;
+  };
   auto build_and_run = [&](bool dense) {
     InstrMem imem(4096);
     Engine engine;
@@ -522,14 +527,21 @@ TEST(EngineEquivalenceWork, ActiveSetEvaluatesStrictlyLess) {
     }
     cluster.attach_clients(clients);
     cluster.build(engine);
-    engine.run(2000);
-    return std::make_pair(engine.evaluations(), monitor.completed());
+    engine.run(kCycles);
+    return Work{engine.evaluations(), engine.commits(), monitor.completed(),
+                engine.num_components(), engine.num_clocked()};
   };
-  const auto [active_evals, active_completed] = build_and_run(false);
-  const auto [dense_evals, dense_completed] = build_and_run(true);
-  EXPECT_EQ(active_completed, dense_completed);
-  EXPECT_LT(active_evals * 3, dense_evals)
+  const Work active = build_and_run(false);
+  const Work dense = build_and_run(true);
+  EXPECT_EQ(active.completed, dense.completed);
+  EXPECT_LT(active.evaluations * 3, dense.evaluations)
       << "active set should do <1/3 of the dense evaluations at λ=0.02";
+  // Dense wakes every slot and dirties every element each cycle, across all
+  // the words of a multi-word lane segment (padding bits stay clear).
+  ASSERT_GT(dense.components, 64u);
+  ASSERT_GT(dense.clocked, 64u);
+  EXPECT_EQ(dense.evaluations, dense.components * kCycles);
+  EXPECT_EQ(dense.commits, dense.clocked * kCycles);
 }
 
 }  // namespace

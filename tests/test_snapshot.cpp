@@ -159,7 +159,7 @@ struct LiveTraffic {
 };
 
 TEST(EngineSnapshot, SaveLoadResaveIsByteIdentical) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   LiveTraffic a(cfg);
   a.engine.run(300);  // mid-flight: packets in buffers, banks busy
   Snapshot snap;
@@ -191,7 +191,7 @@ TEST(EngineSnapshot, PreArenaImageStillRestores) {
   bytes << in.rdbuf();
   const Snapshot golden = Snapshot::deserialize(bytes.str());
 
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   LiveTraffic restored(cfg);
   restored.engine.load_state(golden);
   Snapshot resaved;
@@ -226,7 +226,7 @@ TEST(EngineSnapshot, PreArenaImageStillRestores) {
 }
 
 TEST(EngineSnapshot, LoadIntoSteppedEngineIsRejected) {
-  const ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, false);
+  const ClusterConfig cfg = ClusterConfig::mini("TopH", false);
   LiveTraffic a(cfg);
   a.engine.run(10);
   Snapshot snap;
@@ -238,13 +238,13 @@ TEST(EngineSnapshot, LoadIntoSteppedEngineIsRejected) {
 }
 
 TEST(EngineSnapshot, ComponentCountMismatchIsRejected) {
-  LiveTraffic a(ClusterConfig::mini(Topology::kTopH, false));
+  LiveTraffic a(ClusterConfig::mini("TopH", false));
   a.engine.run(10);
   Snapshot snap;
   a.engine.save_state(&snap);
 
   // A different topology elaborates a different component list.
-  LiveTraffic b(ClusterConfig::mini(Topology::kTop1, false));
+  LiveTraffic b(ClusterConfig::mini("Top1", false));
   EXPECT_THROW(b.engine.load_state(snap), CheckError);
 }
 
@@ -253,7 +253,7 @@ TEST(EngineSnapshot, ExecClusterResumesBitIdentically) {
   // I$ sets and miss machinery, DMA frontend/backend, and L2 all cross the
   // snapshot. The resumed run must halt at the same cycle with the same
   // stats and the same memory image as the uninterrupted one.
-  ClusterConfig cfg = ClusterConfig::mini(Topology::kTopH, true);
+  ClusterConfig cfg = ClusterConfig::mini("TopH", true);
   cfg.memory = MemorySpec{"tcdm+l2"};
   cfg.validate();
   kernels::TiledMatmulParams tp;

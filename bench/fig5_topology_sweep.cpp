@@ -1,7 +1,7 @@
 // Figure 5 (Section V-A): throughput and average round-trip latency of the
 // three candidate topologies as a function of the injected load, with
 // uniformly distributed bank destinations on the full 256-core cluster.
-// Also reproduces the Section V-A text claims (T2 in DESIGN.md):
+// Also reproduces the Section V-A text claims:
 //   * Top1 congests at ~0.10 request/core/cycle,
 //   * Top4/TopH sustain ~0.38,
 //   * TopH stays below ~6 cycles at 0.33,

@@ -44,13 +44,12 @@ void CorePort::describe(GraphVisitor& v) const {
 // --- IdealRespBridge ----------------------------------------------------------
 
 IdealRespBridge::IdealRespBridge(std::string name, uint32_t num_banks,
-                                 const std::vector<Client*>* clients,
-                                 Arena* arena)
+                                 const std::vector<Client*>* clients)
     : Component(std::move(name)), clients_(clients) {
   sinks_.reserve(num_banks);
-  bufs_.reserve_exact(num_banks, arena);
+  bufs_.reserve_exact(num_banks);
   for (uint32_t b = 0; b < num_banks; ++b) {
-    bufs_.emplace_back(BufferMode::kRegistered, 2, arena);
+    bufs_.emplace_back(BufferMode::kRegistered, 2);
   }
   for (auto& b : bufs_) {
     // a committed response re-arms the bridge
@@ -112,38 +111,32 @@ uint32_t FabricBuilder::num_tiles() const {
 
 Tile& FabricBuilder::tile(uint32_t t) { return *c_->tiles_[t]; }
 
-Arena& FabricBuilder::arena(uint32_t shard) {
-  MEMPOOL_CHECK_MSG(shard < c_->arenas_.size(),
-                    "FabricBuilder::arena(" << shard << ") with "
-                                            << c_->arenas_.size()
-                                            << " shards");
-  return *c_->arenas_[shard];
-}
-
-ButterflyNet* FabricBuilder::add_req_butterfly(ButterflyNet* n,
+ButterflyNet* FabricBuilder::add_req_butterfly(std::unique_ptr<ButterflyNet> n,
                                                uint32_t shard) {
-  c_->req_bflys_.push_back(n);
+  c_->req_bflys_.push_back(std::move(n));
   c_->req_bfly_shards_.push_back(shard);
-  return n;
+  return c_->req_bflys_.back().get();
 }
 
-ButterflyNet* FabricBuilder::add_resp_butterfly(ButterflyNet* n,
-                                                uint32_t shard) {
-  c_->resp_bflys_.push_back(n);
+ButterflyNet* FabricBuilder::add_resp_butterfly(
+    std::unique_ptr<ButterflyNet> n, uint32_t shard) {
+  c_->resp_bflys_.push_back(std::move(n));
   c_->resp_bfly_shards_.push_back(shard);
-  return n;
+  return c_->resp_bflys_.back().get();
 }
 
-XbarSwitch* FabricBuilder::add_req_group_xbar(XbarSwitch* x, uint32_t shard) {
-  c_->group_req_lxbars_.push_back(x);
+XbarSwitch* FabricBuilder::add_req_group_xbar(std::unique_ptr<XbarSwitch> x,
+                                              uint32_t shard) {
+  c_->group_req_lxbars_.push_back(std::move(x));
   c_->group_req_shards_.push_back(shard);
-  return x;
+  return c_->group_req_lxbars_.back().get();
 }
 
-XbarSwitch* FabricBuilder::add_resp_group_xbar(XbarSwitch* x, uint32_t shard) {
-  c_->group_resp_lxbars_.push_back(x);
+XbarSwitch* FabricBuilder::add_resp_group_xbar(std::unique_ptr<XbarSwitch> x,
+                                               uint32_t shard) {
+  c_->group_resp_lxbars_.push_back(std::move(x));
   c_->group_resp_shards_.push_back(shard);
-  return x;
+  return c_->group_resp_lxbars_.back().get();
 }
 
 PacketSink* FabricBuilder::shard_boundary(uint32_t producer_shard,
@@ -178,7 +171,7 @@ PacketSink* FabricBuilder::shard_boundary(uint32_t producer_shard,
 
 ButterflyNet* FabricBuilder::req_butterfly(std::size_t i) {
   MEMPOOL_CHECK(i < c_->req_bflys_.size());
-  return c_->req_bflys_[i];
+  return c_->req_bflys_[i].get();
 }
 
 void FabricBuilder::wire_core_ports(uint32_t core, PacketSink* local,
@@ -196,14 +189,13 @@ void FabricBuilder::add_ideal_tile_bridges() {
   MEMPOOL_CHECK_MSG(!c_->clients_.empty(),
                     "ideal bridges need the clients attached");
   for (uint32_t t = 0; t < c_->cfg_.num_tiles; ++t) {
-    Arena& a = *c_->arenas_[c_->tile_shard(t)];
-    IdealRespBridge* bridge = a.make<IdealRespBridge>(
+    auto bridge = std::make_unique<IdealRespBridge>(
         "tile" + std::to_string(t) + ".ideal_bridge",
-        c_->cfg_.banks_per_tile, &c_->clients_, &a);
+        c_->cfg_.banks_per_tile, &c_->clients_);
     for (uint32_t b = 0; b < c_->cfg_.banks_per_tile; ++b) {
       c_->tiles_[t]->bank(b).connect_response(bridge->bank_input(b));
     }
-    c_->bridges_.push_back(bridge);
+    c_->bridges_.push_back(std::move(bridge));
   }
 }
 
@@ -223,14 +215,6 @@ uint32_t MemoryBuilder::num_shards() const { return c_->num_shards(); }
 
 uint32_t MemoryBuilder::tile_shard(uint32_t t) const {
   return c_->tile_shard(t);
-}
-
-Arena& MemoryBuilder::shard_arena(uint32_t shard) {
-  MEMPOOL_CHECK_MSG(shard < c_->arenas_.size(),
-                    "MemoryBuilder::shard_arena(" << shard << ") with "
-                                                  << c_->arenas_.size()
-                                                  << " shards");
-  return *c_->arenas_[shard];
 }
 
 uint32_t MemoryBuilder::group_shard(uint32_t g) const {
@@ -276,23 +260,11 @@ Cluster::Cluster(const ClusterConfig& cfg, const InstrMem* imem)
   fabric_ = &FabricRegistry::get(cfg_.topology.name);
   const TileShape shape = fabric_->tile_shape(cfg_);
 
-  // One component arena per fabric shard. Everything below — tiles, banks,
-  // crossbars, networks, bridges, memory engines, and all their ElasticBuffer
-  // ring storage — is carved out of the owning shard's arena in construction
-  // (= evaluation) order, so a shard's per-cycle walk touches one contiguous
-  // region instead of chasing individually heap-allocated components.
-  const uint32_t shards = fabric_->num_shards(cfg_);
-  arenas_.reserve(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    arenas_.push_back(std::make_unique<Arena>());
-  }
-
   tiles_.reserve(cfg_.num_tiles);
   for (uint32_t t = 0; t < cfg_.num_tiles; ++t) {
     TilePorts ports = fabric_->tile_ports(cfg_, t);
-    Arena& a = *arenas_[fabric_->tile_shard(cfg_, t)];
-    tiles_.push_back(a.make<Tile>(
-        t, cfg_, imem_, a, memsys_->make_banks(t, shape.bank_input_capacity, a),
+    tiles_.push_back(std::make_unique<Tile>(
+        t, cfg_, imem_, memsys_->make_banks(t, shape.bank_input_capacity),
         shape.fabric, shape.master_ports, shape.slave_ports,
         std::move(ports.slave_req_modes), std::move(ports.slave_resp_modes),
         std::move(ports.dir_route), std::move(ports.resp_route)));
@@ -363,17 +335,17 @@ void Cluster::build(Engine& engine) {
   for (auto& t : tiles_) t->add_resp_early(engine, tshard[t->index()]);
   // ... response networks ...
   for (std::size_t i = 0; i < group_resp_lxbars_.size(); ++i) {
-    engine.add_component(group_resp_lxbars_[i], group_resp_shards_[i]);
+    engine.add_component(group_resp_lxbars_[i].get(), group_resp_shards_[i]);
     group_resp_lxbars_[i]->register_clocked(engine, group_resp_shards_[i]);
   }
   for (std::size_t i = 0; i < resp_bflys_.size(); ++i) {
-    engine.add_component(resp_bflys_[i], resp_bfly_shards_[i]);
+    engine.add_component(resp_bflys_[i].get(), resp_bfly_shards_[i]);
     resp_bflys_[i]->register_clocked(engine, resp_bfly_shards_[i]);
   }
   // ... and delivery into the cores.
   for (auto& t : tiles_) t->add_resp_late(engine, tshard[t->index()]);
-  for (IdealRespBridge* br : bridges_) {
-    engine.add_component(br);
+  for (auto& br : bridges_) {
+    engine.add_component(br.get());
     br->register_clocked(engine);
   }
 
@@ -393,11 +365,11 @@ void Cluster::build(Engine& engine) {
   //    crossbars, banks.
   for (auto& t : tiles_) t->add_req_early(engine, tshard[t->index()]);
   for (std::size_t i = 0; i < group_req_lxbars_.size(); ++i) {
-    engine.add_component(group_req_lxbars_[i], group_req_shards_[i]);
+    engine.add_component(group_req_lxbars_[i].get(), group_req_shards_[i]);
     group_req_lxbars_[i]->register_clocked(engine, group_req_shards_[i]);
   }
   for (std::size_t i = 0; i < req_bflys_.size(); ++i) {
-    engine.add_component(req_bflys_[i], req_bfly_shards_[i]);
+    engine.add_component(req_bflys_[i].get(), req_bfly_shards_[i]);
     req_bflys_[i]->register_clocked(engine, req_bfly_shards_[i]);
   }
   for (auto& t : tiles_) t->add_req_late(engine, tshard[t->index()]);

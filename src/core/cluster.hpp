@@ -25,14 +25,14 @@
 //  TopH2 — two-level hierarchy at 1024 cores: 16 groups of 16 tiles inside
 //          4 super-groups; crossbar + two butterfly tiers (1/3/5/7 cycles).
 //
-// Evaluation order per cycle (see DESIGN.md §3): bank-response crossbars →
-// response networks (group crossbars, then butterflies) → remote-response
-// crossbars / ideal bridges → I$ → clients → memory-hierarchy engines
-// (tcdm+l2's DMA frontends/backends; nothing for tcdm) → master-port
-// crossbars → request networks (group crossbars, then butterflies) →
-// merged request crossbars → banks → commit. Plugins insert networks into
-// these fixed phases via the FabricBuilder; the memory system registers its
-// engines via MemoryInstance::add_components.
+// Evaluation order per cycle: bank-response crossbars → response networks
+// (group crossbars, then butterflies) → remote-response crossbars / ideal
+// bridges → I$ → clients → memory-hierarchy engines (tcdm+l2's DMA
+// frontends/backends; nothing for tcdm) → master-port crossbars → request
+// networks (group crossbars, then butterflies) → merged request crossbars →
+// banks → commit. Plugins insert networks into these fixed phases via the
+// FabricBuilder; the memory system registers its engines via
+// MemoryInstance::add_components.
 
 #include <cstdint>
 #include <map>
@@ -41,7 +41,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
+#include "common/pinned_vector.hpp"
 #include "core/client.hpp"
 #include "core/cluster_config.hpp"
 #include "core/layout.hpp"
@@ -84,8 +84,7 @@ class CorePort final : public RequestPort {
 class IdealRespBridge final : public Component {
  public:
   IdealRespBridge(std::string name, uint32_t num_banks,
-                  const std::vector<Client*>* clients,
-                  Arena* arena = nullptr);
+                  const std::vector<Client*>* clients);
   PacketSink* bank_input(uint32_t b) { return &sinks_[b]; }
   void register_clocked(Engine& engine, uint32_t shard = 0);
   void evaluate(uint64_t cycle) override;
@@ -173,28 +172,6 @@ class Cluster {
   /// True when no packet is in flight anywhere in the fabric.
   bool fabric_idle() const;
 
-  // Raw component access for the energy model and tests. The pointers are
-  // owned by the shard arenas (see arenas_).
-  const std::vector<ButterflyNet*>& req_butterflies() const {
-    return req_bflys_;
-  }
-  const std::vector<ButterflyNet*>& resp_butterflies() const {
-    return resp_bflys_;
-  }
-  const std::vector<XbarSwitch*>& group_req_xbars() const {
-    return group_req_lxbars_;
-  }
-  const std::vector<XbarSwitch*>& group_resp_xbars() const {
-    return group_resp_lxbars_;
-  }
-
-  /// Shard @p shard's component arena: every component evaluated in that
-  /// shard (tiles' crossbars, banks, networks, bridges, memory engines) and
-  /// all their ElasticBuffer ring storage is carved out of this arena in
-  /// fabric-evaluation order, so one shard's cycle walks one contiguous
-  /// region of memory.
-  const Arena& shard_arena(uint32_t shard) const { return *arenas_[shard]; }
-
  private:
   friend class CorePort;
   friend class FabricBuilder;
@@ -210,27 +187,21 @@ class Cluster {
   std::string boundary_registry() const;
 
   ClusterConfig cfg_;
-  /// One component arena per fabric shard. Declared before every container
-  /// of arena-owned pointers so the arenas — and the registered destructors
-  /// they run — outlive all raw references below (members destroy in
-  /// reverse declaration order).
-  std::vector<std::unique_ptr<Arena>> arenas_;
   std::unique_ptr<MemoryInstance> memsys_;  // before layout_: supplies it
   MemoryLayout layout_;
   const InstrMem* imem_;
   const FabricTopology* fabric_;  // registry-owned, never null after ctor
-  // All raw component pointers below are owned by the shard arenas above.
-  std::vector<Tile*> tiles_;
-  std::vector<ButterflyNet*> req_bflys_;
-  std::vector<ButterflyNet*> resp_bflys_;
-  std::vector<XbarSwitch*> group_req_lxbars_;
-  std::vector<XbarSwitch*> group_resp_lxbars_;
+  std::vector<std::unique_ptr<Tile>> tiles_;
+  std::vector<std::unique_ptr<ButterflyNet>> req_bflys_;
+  std::vector<std::unique_ptr<ButterflyNet>> resp_bflys_;
+  std::vector<std::unique_ptr<XbarSwitch>> group_req_lxbars_;
+  std::vector<std::unique_ptr<XbarSwitch>> group_resp_lxbars_;
   // Shard tags parallel to the four network containers (FabricBuilder::add_*).
   std::vector<uint32_t> req_bfly_shards_;
   std::vector<uint32_t> resp_bfly_shards_;
   std::vector<uint32_t> group_req_shards_;
   std::vector<uint32_t> group_resp_shards_;
-  std::vector<IdealRespBridge*> bridges_;
+  std::vector<std::unique_ptr<IdealRespBridge>> bridges_;
   std::vector<Client*> clients_;
   std::vector<std::unique_ptr<CorePort>> ports_;
   /// (producer shard, consumer shard) -> boundaries declared through

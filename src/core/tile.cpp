@@ -11,7 +11,7 @@ std::string tile_name(uint32_t index, const char* part) {
 }  // namespace
 
 Tile::Tile(uint32_t index, const ClusterConfig& cfg, const InstrMem* imem,
-           Arena& arena, std::vector<SpmBank*> banks, bool with_fabric,
+           std::vector<std::unique_ptr<SpmBank>> banks, bool with_fabric,
            uint32_t num_master_ports, uint32_t num_slave_ports,
            std::vector<BufferMode> slave_req_modes,
            std::vector<BufferMode> slave_resp_modes, RouteFn dir_route,
@@ -22,7 +22,8 @@ Tile::Tile(uint32_t index, const ClusterConfig& cfg, const InstrMem* imem,
                                            << " banks for tile " << index
                                            << ", config wants "
                                            << cfg.banks_per_tile);
-  icache_ = arena.make<ICache>(tile_name(index, "icache"), cfg.icache, imem);
+  icache_ = std::make_unique<ICache>(tile_name(index, "icache"), cfg.icache,
+                                     imem);
   if (!with_fabric) {
     MEMPOOL_CHECK(num_master_ports == 0 && num_slave_ports == 0);
     return;
@@ -36,21 +37,19 @@ Tile::Tile(uint32_t index, const ClusterConfig& cfg, const InstrMem* imem,
   std::vector<BufferMode> req_modes(cores_, BufferMode::kCombinational);
   req_modes.insert(req_modes.end(), slave_req_modes.begin(),
                    slave_req_modes.end());
-  req_xbar_ = arena.make<XbarSwitch>(
+  req_xbar_ = std::make_unique<XbarSwitch>(
       tile_name(index, "req_xbar"), req_modes, cfg.banks_per_tile,
-      [](const Packet& p) { return static_cast<unsigned>(p.dst_bank); },
-      /*in_capacity=*/2, &arena);
+      [](const Packet& p) { return static_cast<unsigned>(p.dst_bank); });
   for (uint32_t b = 0; b < cfg.banks_per_tile; ++b) {
     req_xbar_->connect_output(b, banks_[b]->request_input());
   }
 
   // Bank-response crossbar. Its *registered* inputs are the banks' output
   // registers: every bank access pays exactly one cycle here.
-  bank_resp_xbar_ = arena.make<XbarSwitch>(
+  bank_resp_xbar_ = std::make_unique<XbarSwitch>(
       tile_name(index, "bank_resp_xbar"),
       std::vector<BufferMode>(cfg.banks_per_tile, BufferMode::kRegistered),
-      cores_ + num_slave_ports, std::move(bank_resp_route),
-      /*in_capacity=*/2, &arena);
+      cores_ + num_slave_ports, std::move(bank_resp_route));
   for (uint32_t b = 0; b < cfg.banks_per_tile; ++b) {
     banks_[b]->connect_response(bank_resp_xbar_->input(b));
   }
@@ -58,20 +57,19 @@ Tile::Tile(uint32_t index, const ClusterConfig& cfg, const InstrMem* imem,
   // Remote-response interconnect: K slave ports -> local cores.
   if (num_slave_ports > 0) {
     const uint32_t cores = cores_;
-    remote_resp_xbar_ = arena.make<XbarSwitch>(
+    remote_resp_xbar_ = std::make_unique<XbarSwitch>(
         tile_name(index, "remote_resp_xbar"), slave_resp_modes, cores_,
         [cores](const Packet& p) {
           return static_cast<unsigned>(p.src % cores);
-        },
-        /*in_capacity=*/2, &arena);
+        });
   }
 
   // Master-port crossbar (Top1 concentrator / TopH direction router).
   if (num_master_ports > 0) {
     MEMPOOL_CHECK(dir_route != nullptr);
-    dir_xbar_ = arena.make<XbarSwitch>(
+    dir_xbar_ = std::make_unique<XbarSwitch>(
         tile_name(index, "dir_xbar"), cores_, BufferMode::kCombinational,
-        num_master_ports, std::move(dir_route), /*in_capacity=*/2, &arena);
+        num_master_ports, std::move(dir_route));
   }
 }
 
@@ -125,36 +123,36 @@ void Tile::connect_clients(const std::vector<Client*>& clients) {
 
 void Tile::add_resp_early(Engine& engine, uint32_t shard) {
   if (bank_resp_xbar_) {
-    engine.add_component(bank_resp_xbar_, shard);
+    engine.add_component(bank_resp_xbar_.get(), shard);
     bank_resp_xbar_->register_clocked(engine, shard);
   }
 }
 
 void Tile::add_resp_late(Engine& engine, uint32_t shard) {
   if (remote_resp_xbar_) {
-    engine.add_component(remote_resp_xbar_, shard);
+    engine.add_component(remote_resp_xbar_.get(), shard);
     remote_resp_xbar_->register_clocked(engine, shard);
   }
 }
 
 void Tile::add_fetch(Engine& engine, uint32_t shard) {
-  engine.add_component(icache_, shard);
+  engine.add_component(icache_.get(), shard);
 }
 
 void Tile::add_req_early(Engine& engine, uint32_t shard) {
   if (dir_xbar_) {
-    engine.add_component(dir_xbar_, shard);
+    engine.add_component(dir_xbar_.get(), shard);
     dir_xbar_->register_clocked(engine, shard);
   }
 }
 
 void Tile::add_req_late(Engine& engine, uint32_t shard) {
   if (req_xbar_) {
-    engine.add_component(req_xbar_, shard);
+    engine.add_component(req_xbar_.get(), shard);
     req_xbar_->register_clocked(engine, shard);
   }
-  for (SpmBank* b : banks_) {
-    engine.add_component(b, shard);
+  for (auto& b : banks_) {
+    engine.add_component(b.get(), shard);
     b->register_clocked(engine, shard);
   }
 }

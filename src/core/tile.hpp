@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "core/client.hpp"
 #include "core/cluster_config.hpp"
 #include "mem/bank.hpp"
@@ -44,13 +43,8 @@ class ClientSink final : public PacketSink {
 
 class Tile {
  public:
-  /// @param arena         shard arena the tile's components (I$, crossbars
-  ///                      and their buffer storage) are carved out of, in
-  ///                      evaluation order; the arena owns them and outlives
-  ///                      the tile.
   /// @param banks         the tile's L1 banks, constructed by the memory-
-  ///                      system plugin (mem/memsys.hpp) in the same arena,
-  ///                      in bank order.
+  ///                      system plugin (mem/memsys.hpp), in bank order.
   /// @param with_fabric   false for the ideal TopX baseline (banks + I$ only;
   ///                      the cluster wires cores straight to banks).
   /// @param num_master_ports outputs of the per-tile master-port crossbar
@@ -62,7 +56,7 @@ class Tile {
   /// @param bank_resp_route routes a bank response to a local core
   ///                      [0, cores) or remote response port [cores, cores+K).
   Tile(uint32_t index, const ClusterConfig& cfg, const InstrMem* imem,
-       Arena& arena, std::vector<SpmBank*> banks, bool with_fabric,
+       std::vector<std::unique_ptr<SpmBank>> banks, bool with_fabric,
        uint32_t num_master_ports, uint32_t num_slave_ports,
        std::vector<BufferMode> slave_req_modes,
        std::vector<BufferMode> slave_resp_modes, RouteFn dir_route,
@@ -95,10 +89,10 @@ class Tile {
   const SpmBank& bank(uint32_t b) const { return *banks_[b]; }
   ICache& icache() { return *icache_; }
   const ICache& icache() const { return *icache_; }
-  XbarSwitch* req_xbar() { return req_xbar_; }
-  XbarSwitch* bank_resp_xbar() { return bank_resp_xbar_; }
-  XbarSwitch* remote_resp_xbar() { return remote_resp_xbar_; }
-  XbarSwitch* dir_xbar() { return dir_xbar_; }
+  XbarSwitch* req_xbar() { return req_xbar_.get(); }
+  XbarSwitch* bank_resp_xbar() { return bank_resp_xbar_.get(); }
+  XbarSwitch* remote_resp_xbar() { return remote_resp_xbar_.get(); }
+  XbarSwitch* dir_xbar() { return dir_xbar_.get(); }
   uint32_t index() const { return index_; }
   uint32_t num_banks() const { return static_cast<uint32_t>(banks_.size()); }
 
@@ -108,15 +102,12 @@ class Tile {
  private:
   uint32_t index_;
   uint32_t cores_;
-  // All raw pointers below are owned by the shard arena handed to the
-  // constructor, which outlives the tile (Cluster declares its arenas
-  // first). The tile destructor therefore deletes nothing.
-  std::vector<SpmBank*> banks_;
-  ICache* icache_ = nullptr;
-  XbarSwitch* req_xbar_ = nullptr;
-  XbarSwitch* bank_resp_xbar_ = nullptr;
-  XbarSwitch* remote_resp_xbar_ = nullptr;
-  XbarSwitch* dir_xbar_ = nullptr;
+  std::vector<std::unique_ptr<SpmBank>> banks_;
+  std::unique_ptr<ICache> icache_;
+  std::unique_ptr<XbarSwitch> req_xbar_;
+  std::unique_ptr<XbarSwitch> bank_resp_xbar_;
+  std::unique_ptr<XbarSwitch> remote_resp_xbar_;
+  std::unique_ptr<XbarSwitch> dir_xbar_;
   std::vector<std::unique_ptr<ClientSink>> client_sinks_;
 };
 

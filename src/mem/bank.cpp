@@ -7,10 +7,10 @@
 namespace mempool {
 
 SpmBank::SpmBank(std::string name, uint32_t bank_bytes,
-                 std::size_t input_capacity, Arena* arena)
+                 std::size_t input_capacity)
     : Component(std::move(name)),
       words_(bank_bytes / 4, 0),
-      req_in_(BufferMode::kCombinational, input_capacity, arena),
+      req_in_(BufferMode::kCombinational, input_capacity),
       req_sink_(req_in_) {
   MEMPOOL_CHECK(bank_bytes >= 4 && bank_bytes % 4 == 0);
   req_in_.set_consumer(this, this->name().c_str());

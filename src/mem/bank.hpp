@@ -23,11 +23,8 @@ class SpmBank final : public Component {
   /// @param bank_bytes    storage bytes (multiple of 4).
   /// @param input_capacity request queue depth; 0 = unbounded (ideal TopX
   ///                      output-queued fabric).
-  /// @param arena         when given, the request queue's deep/unbounded
-  ///                      ring storage comes from this arena (the shard
-  ///                      arena of the owning cluster).
-  SpmBank(std::string name, uint32_t bank_bytes, std::size_t input_capacity = 2,
-          Arena* arena = nullptr);
+  SpmBank(std::string name, uint32_t bank_bytes,
+          std::size_t input_capacity = 2);
 
   /// Sink the request fabric pushes into.
   PacketSink* request_input() { return &req_sink_; }

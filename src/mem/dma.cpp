@@ -20,7 +20,7 @@ bool l2_is_dst(const L2Memory& l2, const DmaDescriptor& d) {
 
 DmaFrontend::DmaFrontend(std::string name, uint32_t group,
                          const ClusterConfig& cfg, const MemoryLayout* layout,
-                         const L2Memory* l2, Arena* arena)
+                         const L2Memory* l2)
     : Component(std::move(name)),
       group_(group),
       cfg_(&cfg),
@@ -29,9 +29,9 @@ DmaFrontend::DmaFrontend(std::string name, uint32_t group,
       table_(kMaxInFlight),
       pending_(cfg.num_cores(), 0),
       cmd_out_(cfg.num_groups, nullptr) {
-  comp_in_.reserve_exact(cfg.num_groups, arena);
+  comp_in_.reserve_exact(cfg.num_groups);
   for (uint32_t g = 0; g < cfg.num_groups; ++g) {
-    comp_in_.emplace_back(BufferMode::kRegistered, /*capacity=*/0, arena);
+    comp_in_.emplace_back(BufferMode::kRegistered, /*capacity=*/0);
     comp_in_.back().set_consumer(this, this->name().c_str());
   }
 }
@@ -187,7 +187,7 @@ bool DmaFrontend::idle() const {
 
 DmaBackend::DmaBackend(std::string name, uint32_t group,
                        const ClusterConfig& cfg, const MemoryLayout* layout,
-                       L2Memory* l2, Arena* arena)
+                       L2Memory* l2)
     : Component(std::move(name)),
       group_(group),
       cfg_(&cfg),
@@ -195,9 +195,9 @@ DmaBackend::DmaBackend(std::string name, uint32_t group,
       l2_(l2),
       comp_out_(cfg.num_groups, nullptr),
       bank_free_(l2->params().banks, 0) {
-  cmd_in_.reserve_exact(cfg.num_groups, arena);
+  cmd_in_.reserve_exact(cfg.num_groups);
   for (uint32_t g = 0; g < cfg.num_groups; ++g) {
-    cmd_in_.emplace_back(BufferMode::kRegistered, /*capacity=*/0, arena);
+    cmd_in_.emplace_back(BufferMode::kRegistered, /*capacity=*/0);
     cmd_in_.back().set_consumer(this, this->name().c_str());
   }
 }

@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
+#include "common/pinned_vector.hpp"
 #include "core/cluster_config.hpp"
 #include "core/layout.hpp"
 #include "mem/bank.hpp"
@@ -195,12 +195,8 @@ class DmaBackend;
 /// most one push per cycle (the registered-buffer contract).
 class DmaFrontend final : public Component, public DmaPortal {
  public:
-  /// @p arena, when given, is the shard arena of the group this frontend
-  /// serves: the per-source-group completion buffers carve their initial
-  /// ring storage out of it.
   DmaFrontend(std::string name, uint32_t group, const ClusterConfig& cfg,
-              const MemoryLayout* layout, const L2Memory* l2,
-              Arena* arena = nullptr);
+              const MemoryLayout* layout, const L2Memory* l2);
 
   // --- wiring (memsys build time) -------------------------------------------
   /// Command buffer of group @p g's backend that this frontend pushes into.
@@ -271,10 +267,8 @@ class DmaFrontend final : public Component, public DmaPortal {
 /// engine's timer wheel and applies each burst's words when it fires.
 class DmaBackend final : public Component {
  public:
-  /// @p arena — see DmaFrontend: shard arena for the command buffers' rings.
   DmaBackend(std::string name, uint32_t group, const ClusterConfig& cfg,
-             const MemoryLayout* layout, L2Memory* l2,
-             Arena* arena = nullptr);
+             const MemoryLayout* layout, L2Memory* l2);
 
   // --- wiring (memsys build time) -------------------------------------------
   /// This backend's command input from group @p g's frontend (owned here).

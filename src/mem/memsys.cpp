@@ -14,19 +14,15 @@ std::unique_ptr<MemorySystem> make_tcdm_l2();
 
 // --- MemoryInstance defaults (the tcdm behavior) ------------------------------
 
-std::vector<SpmBank*> MemoryInstance::make_banks(uint32_t t,
-                                                 std::size_t input_capacity,
-                                                 Arena& arena) {
-  // The seed-era construction site that used to live in the Tile
-  // constructor: one single-ported bank per slot, named tileT.bankB — now
-  // carved out of the owning tile's shard arena so consecutive banks sit at
-  // consecutive addresses in the engine's evaluation scan.
-  std::vector<SpmBank*> banks;
+std::vector<std::unique_ptr<SpmBank>> MemoryInstance::make_banks(
+    uint32_t t, std::size_t input_capacity) {
+  // One single-ported bank per slot, named tileT.bankB.
+  std::vector<std::unique_ptr<SpmBank>> banks;
   banks.reserve(cfg_.banks_per_tile);
   for (uint32_t b = 0; b < cfg_.banks_per_tile; ++b) {
-    banks.push_back(arena.make<SpmBank>(
+    banks.push_back(std::make_unique<SpmBank>(
         "tile" + std::to_string(t) + ".bank" + std::to_string(b),
-        cfg_.bank_bytes, input_capacity, &arena));
+        cfg_.bank_bytes, input_capacity));
   }
   return banks;
 }

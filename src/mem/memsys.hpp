@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "core/cluster_config.hpp"
 #include "core/layout.hpp"
 #include "mem/bank.hpp"
@@ -80,10 +79,6 @@ class MemoryBuilder {
   /// Shard of group @p g; CHECKs that every tile of the group agrees (the
   /// built-in fabrics shard along the group hierarchy, so they always do).
   uint32_t group_shard(uint32_t g) const;
-  /// Shard @p shard's component arena: memory engines (DMA frontends,
-  /// backends) allocate themselves and their buffers here so they sit next
-  /// to the shard's fabric components. The arena outlives the instance.
-  Arena& shard_arena(uint32_t shard);
 
  private:
   friend class Cluster;
@@ -111,13 +106,11 @@ class MemoryInstance {
   /// once, before the tiles exist.
   virtual MemoryLayout make_layout() const { return MemoryLayout(cfg_); }
 
-  /// Construct tile @p t's L1 banks, in bank order, inside @p arena — the
-  /// shard arena of the owning tile, which owns the banks and outlives the
-  /// cluster's components. @p input_capacity is the fabric plugin's request
-  /// queue depth (0 = unbounded, TopX).
-  virtual std::vector<SpmBank*> make_banks(uint32_t t,
-                                           std::size_t input_capacity,
-                                           Arena& arena);
+  /// Construct tile @p t's L1 banks, in bank order; the tile takes
+  /// ownership. @p input_capacity is the fabric plugin's request queue depth
+  /// (0 = unbounded, TopX).
+  virtual std::vector<std::unique_ptr<SpmBank>> make_banks(
+      uint32_t t, std::size_t input_capacity);
 
   /// Create the hierarchy's engine components (DMA engines, ports) and wire
   /// them; called after the tiles and fabric networks exist, before the

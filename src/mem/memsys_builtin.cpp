@@ -89,15 +89,10 @@ class TcdmL2Instance final : public MemoryInstance {
     for (uint32_t g = 0; g < groups; ++g) shard_[g] = b.group_shard(g);
 
     for (uint32_t g = 0; g < groups; ++g) {
-      // The group's engines live in its shard's arena, next to the tiles
-      // and networks evaluated in the same shard.
-      Arena& arena = b.shard_arena(shard_[g]);
-      frontends_.push_back(arena.make<DmaFrontend>(
-          "dma" + std::to_string(g) + ".front", g, cfg_, &b.layout(), &l2_,
-          &arena));
-      backends_.push_back(arena.make<DmaBackend>(
-          "dma" + std::to_string(g) + ".back", g, cfg_, &b.layout(), &l2_,
-          &arena));
+      frontends_.push_back(std::make_unique<DmaFrontend>(
+          "dma" + std::to_string(g) + ".front", g, cfg_, &b.layout(), &l2_));
+      backends_.push_back(std::make_unique<DmaBackend>(
+          "dma" + std::to_string(g) + ".back", g, cfg_, &b.layout(), &l2_));
       std::vector<SpmBank*> banks;
       const uint32_t tpg = cfg_.tiles_per_group();
       banks.reserve(std::size_t{tpg} * cfg_.banks_per_tile);
@@ -129,11 +124,11 @@ class TcdmL2Instance final : public MemoryInstance {
 
   void add_components(Engine& engine) override {
     for (uint32_t g = 0; g < frontends_.size(); ++g) {
-      engine.add_component(frontends_[g], shard_[g]);
+      engine.add_component(frontends_[g].get(), shard_[g]);
       frontends_[g]->register_clocked(engine, shard_[g]);
     }
     for (uint32_t g = 0; g < backends_.size(); ++g) {
-      engine.add_component(backends_[g], shard_[g]);
+      engine.add_component(backends_[g].get(), shard_[g]);
       backends_[g]->bind_engine(&engine);
       backends_[g]->register_clocked(engine, shard_[g]);
     }
@@ -141,7 +136,7 @@ class TcdmL2Instance final : public MemoryInstance {
 
   DmaPortal* dma_portal(uint32_t group) override {
     MEMPOOL_CHECK(group < frontends_.size());
-    return frontends_[group];
+    return frontends_[group].get();
   }
 
   bool handles(uint32_t cpu_addr) const override {
@@ -183,10 +178,8 @@ class TcdmL2Instance final : public MemoryInstance {
  private:
   L2Memory l2_;
   std::vector<uint32_t> shard_;  ///< Per group.
-  // Arena-owned (MemoryBuilder::shard_arena); the arenas outlive this
-  // instance, and Arena runs the registered destructors.
-  std::vector<DmaFrontend*> frontends_;
-  std::vector<DmaBackend*> backends_;
+  std::vector<std::unique_ptr<DmaFrontend>> frontends_;
+  std::vector<std::unique_ptr<DmaBackend>> backends_;
 };
 
 class TcdmL2System final : public MemorySystem {

@@ -19,8 +19,7 @@ unsigned shuffle(unsigned p, unsigned layers, unsigned radix_bits, unsigned n) {
 
 ButterflyNet::ButterflyNet(std::string name, std::size_t num_endpoints,
                            unsigned radix, std::vector<BufferMode> layer_modes,
-                           EndpointFn dst_of, std::size_t buffer_capacity,
-                           Arena* arena)
+                           EndpointFn dst_of, std::size_t buffer_capacity)
     : Component(std::move(name)),
       n_(num_endpoints),
       radix_(radix),
@@ -42,9 +41,9 @@ ButterflyNet::ButterflyNet(std::string name, std::size_t num_endpoints,
   occ_.assign(layers_ * occ_words_, 0);
   arb_scratch_.assign(occ_words_, 0);
   for (unsigned l = 0; l < layers_; ++l) {
-    buf_[l].reserve_exact(n_, arena);
+    buf_[l].reserve_exact(n_);
     for (std::size_t p = 0; p < n_; ++p) {
-      buf_[l].emplace_back(layer_modes[l], buffer_capacity, arena);
+      buf_[l].emplace_back(layer_modes[l], buffer_capacity);
       // any visible packet re-arms the net
       buf_[l].back().set_consumer(this, this->name().c_str());
       buf_[l].back().bind_occupancy_bit(&occ_[l * occ_words_ + p / 64],

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
+#include "common/pinned_vector.hpp"
 #include "sim/component.hpp"
 #include "sim/elastic_buffer.hpp"
 #include "sim/engine.hpp"
@@ -32,12 +32,9 @@ class ButterflyNet final : public Component {
  public:
   /// @param num_endpoints N = radix^L for some integer L >= 1.
   /// @param layer_modes   input buffer mode per layer (size L).
-  /// @param arena         when given, every layer's line buffers are carved
-  ///                      contiguously out of this arena — the shard arena
-  ///                      of the cluster that owns the network.
   ButterflyNet(std::string name, std::size_t num_endpoints, unsigned radix,
                std::vector<BufferMode> layer_modes, EndpointFn dst_of,
-               std::size_t buffer_capacity = 2, Arena* arena = nullptr);
+               std::size_t buffer_capacity = 2);
 
   /// Sink for producers to push into endpoint @p i.
   PacketSink* input(std::size_t i);
@@ -82,8 +79,7 @@ class ButterflyNet final : public Component {
   EndpointFn dst_of_;
   // buf_[l][p]: input buffer of layer l at line position p (pre-shuffle).
   // Inner PinnedVector, not vector: ElasticBuffer is pinned (non-movable);
-  // each layer's line buffers sit in one contiguous (optionally
-  // arena-backed) block.
+  // each layer's line buffers sit in one contiguous block.
   std::vector<PinnedVector<PacketBuffer>> buf_;
   // occ_[l * occ_words_ + p/64] bit p%64 set iff buf_[l][p] holds a visible
   // packet — evaluate iterates set bits instead of scanning all N lines per

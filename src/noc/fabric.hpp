@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "core/cluster_config.hpp"
 #include "noc/butterfly.hpp"
 #include "noc/xbar.hpp"
@@ -69,19 +68,12 @@ class FabricBuilder {
   uint32_t num_tiles() const;
   Tile& tile(uint32_t t);
 
-  /// Shard @p shard's component arena. Plugins construct their networks in
-  /// the arena of the shard the network evaluates in (arena(h).make<...>),
-  /// passing &arena(h) through to the network constructor so the buffer
-  /// storage lands in the same arena; the arena owns the object and
-  /// outlives the cluster's component graph.
-  Arena& arena(uint32_t shard);
-
-  /// Store a network (arena-owned; pass the pointer arena(shard).make<>
-  /// returned). Request networks evaluate after the master-port crossbars
-  /// and before the merged request crossbars; response networks after the
-  /// bank-response crossbars and before the remote-response crossbars.
-  /// Within a direction: group crossbars first, then butterflies, each in
-  /// insertion order. Returns @p n for wiring.
+  /// Store a network; the Cluster takes ownership. Request networks
+  /// evaluate after the master-port crossbars and before the merged request
+  /// crossbars; response networks after the bank-response crossbars and
+  /// before the remote-response crossbars. Within a direction: group
+  /// crossbars first, then butterflies, each in insertion order. Returns a
+  /// non-owning pointer for wiring.
   ///
   /// @p shard is the partition the network evaluates in under the sharded
   /// engine (< num_shards()). Because a network's outputs may feed tile
@@ -89,10 +81,14 @@ class FabricBuilder {
   /// *feeds* — for MemPool's hierarchical fabrics that is the destination
   /// group; its input buffers are then the registered shard boundary (wrap
   /// them with shard_boundary() when wiring the source tiles).
-  ButterflyNet* add_req_butterfly(ButterflyNet* n, uint32_t shard = 0);
-  ButterflyNet* add_resp_butterfly(ButterflyNet* n, uint32_t shard = 0);
-  XbarSwitch* add_req_group_xbar(XbarSwitch* x, uint32_t shard = 0);
-  XbarSwitch* add_resp_group_xbar(XbarSwitch* x, uint32_t shard = 0);
+  ButterflyNet* add_req_butterfly(std::unique_ptr<ButterflyNet> n,
+                                  uint32_t shard = 0);
+  ButterflyNet* add_resp_butterfly(std::unique_ptr<ButterflyNet> n,
+                                   uint32_t shard = 0);
+  XbarSwitch* add_req_group_xbar(std::unique_ptr<XbarSwitch> x,
+                                 uint32_t shard = 0);
+  XbarSwitch* add_resp_group_xbar(std::unique_ptr<XbarSwitch> x,
+                                  uint32_t shard = 0);
 
   /// Declare @p sink — an input of a network that lives in @p consumer_shard
   /// — to be fed by components of @p producer_shard. When the shards differ
@@ -134,7 +130,7 @@ class FabricTopology {
   virtual ~FabricTopology() = default;
 
   // --- identity -------------------------------------------------------------
-  /// Registry key, display name, and serialization name (sweep-JSON v2).
+  /// Registry key, display name, and serialization name.
   virtual const std::string& name() const = 0;
   /// One-line summary for --list-topologies.
   virtual std::string description() const = 0;

@@ -177,24 +177,21 @@ class TopH2 final : public FabricTopology {
     // the group's super-group).
     for (uint32_t g = 0; g < cfg.num_groups; ++g) {
       const uint32_t gshard = g / s.gps;
-      Arena& ga = b.arena(gshard);
       XbarSwitch* lreq = b.add_req_group_xbar(
-          ga.make<XbarSwitch>(
+          std::make_unique<XbarSwitch>(
               "g" + std::to_string(g) + ".req_lxbar", s.tpg,
               BufferMode::kRegistered, s.tpg,
-              RouteFn([s](const Packet& p) {
+              [s](const Packet& p) {
                 return static_cast<unsigned>(p.dst_tile % s.tpg);
               }),
-              /*in_capacity=*/2, &ga),
           gshard);
       XbarSwitch* lresp = b.add_resp_group_xbar(
-          ga.make<XbarSwitch>(
+          std::make_unique<XbarSwitch>(
               "g" + std::to_string(g) + ".resp_lxbar", s.tpg,
               BufferMode::kRegistered, s.tpg,
-              RouteFn([s](const Packet& p) {
+              [s](const Packet& p) {
                 return static_cast<unsigned>(p.src_tile % s.tpg);
               }),
-              /*in_capacity=*/2, &ga),
           gshard);
       for (uint32_t j = 0; j < s.tpg; ++j) {
         Tile& tl = b.tile(g * s.tpg + j);
@@ -218,22 +215,19 @@ class TopH2 final : public FabricTopology {
               "_g" + std::to_string(g) + "_d" + std::to_string(i);
           // Intra-super-group: producer and consumer groups share the
           // super-group shard, so no boundary marking is needed.
-          Arena& spa = b.arena(sp);
           ButterflyNet* req = b.add_req_butterfly(
-              spa.make<ButterflyNet>(
+              std::make_unique<ButterflyNet>(
                   "req_bfly" + suffix, s.tpg, 4u, bfly_layer_modes(mid_layers),
-                  EndpointFn([s](const Packet& p) {
+                  [s](const Packet& p) {
                     return static_cast<unsigned>(p.dst_tile % s.tpg);
                   }),
-                  /*buffer_capacity=*/2, &spa),
               sp);
           ButterflyNet* resp = b.add_resp_butterfly(
-              spa.make<ButterflyNet>(
+              std::make_unique<ButterflyNet>(
                   "resp_bfly" + suffix, s.tpg, 4u, bfly_layer_modes(mid_layers),
-                  EndpointFn([s](const Packet& p) {
+                  [s](const Packet& p) {
                     return static_cast<unsigned>(p.src_tile % s.tpg);
                   }),
-                  /*buffer_capacity=*/2, &spa),
               sp);
           for (uint32_t j = 0; j < s.tpg; ++j) {
             Tile& src = b.tile(g * s.tpg + j);
@@ -259,24 +253,21 @@ class TopH2 final : public FabricTopology {
         // super-group's shard (it feeds those tiles combinationally); its
         // all-registered layer-0 inputs, fed from super-group sp, are the
         // shard boundary.
-        Arena& sqa = b.arena(sq);
         ButterflyNet* req = b.add_req_butterfly(
-            sqa.make<ButterflyNet>(
+            std::make_unique<ButterflyNet>(
                 "req_tbfly" + suffix, s.tps, 4u,
                 bfly_all_registered(top_layers),
-                EndpointFn([s](const Packet& p) {
+                [s](const Packet& p) {
                   return static_cast<unsigned>(p.dst_tile % s.tps);
                 }),
-                /*buffer_capacity=*/2, &sqa),
             sq);
         ButterflyNet* resp = b.add_resp_butterfly(
-            sqa.make<ButterflyNet>(
+            std::make_unique<ButterflyNet>(
                 "resp_tbfly" + suffix, s.tps, 4u,
                 bfly_all_registered(top_layers),
-                EndpointFn([s](const Packet& p) {
+                [s](const Packet& p) {
                   return static_cast<unsigned>(p.src_tile % s.tps);
                 }),
-                /*buffer_capacity=*/2, &sqa),
             sq);
         const uint32_t dir = s.gps - 1 + d;
         for (uint32_t j = 0; j < s.tps; ++j) {

@@ -102,18 +102,13 @@ class Top1 : public FabricTopology {
                                          bool dir_connected) {
     const uint32_t n = b.config().num_tiles;
     const unsigned layers = bfly_layers(n);
-    Arena& arena = b.arena(0);  // flat fabrics are single-shard
     for (uint32_t k = 0; k < planes; ++k) {
-      ButterflyNet* req = b.add_req_butterfly(arena.make<ButterflyNet>(
+      ButterflyNet* req = b.add_req_butterfly(std::make_unique<ButterflyNet>(
           "req_bfly" + std::to_string(k), n, 4u, bfly_layer_modes(layers),
-          EndpointFn(
-              [](const Packet& p) { return static_cast<unsigned>(p.dst_tile); }),
-          /*buffer_capacity=*/2, &arena));
-      ButterflyNet* resp = b.add_resp_butterfly(arena.make<ButterflyNet>(
+          [](const Packet& p) { return static_cast<unsigned>(p.dst_tile); }));
+      ButterflyNet* resp = b.add_resp_butterfly(std::make_unique<ButterflyNet>(
           "resp_bfly" + std::to_string(k), n, 4u, bfly_layer_modes(layers),
-          EndpointFn(
-              [](const Packet& p) { return static_cast<unsigned>(p.src_tile); }),
-          /*buffer_capacity=*/2, &arena));
+          [](const Packet& p) { return static_cast<unsigned>(p.src_tile); }));
       for (uint32_t t = 0; t < n; ++t) {
         req->connect_output(t, b.tile(t).slave_req(k));
         resp->connect_output(t, b.tile(t).resp_slave(k));
@@ -268,24 +263,21 @@ class TopH final : public FabricTopology {
     // Intra-group fully-connected crossbars (registered inputs: the tiles'
     // master-port boundary); shard = the group they serve.
     for (uint32_t g = 0; g < ng; ++g) {
-      Arena& ga = b.arena(g);
       XbarSwitch* lreq = b.add_req_group_xbar(
-          ga.make<XbarSwitch>(
+          std::make_unique<XbarSwitch>(
               "g" + std::to_string(g) + ".req_lxbar", tpg,
               BufferMode::kRegistered, tpg,
-              RouteFn([tpg](const Packet& p) {
+              [tpg](const Packet& p) {
                 return static_cast<unsigned>(p.dst_tile % tpg);
               }),
-              /*in_capacity=*/2, &ga),
           g);
       XbarSwitch* lresp = b.add_resp_group_xbar(
-          ga.make<XbarSwitch>(
+          std::make_unique<XbarSwitch>(
               "g" + std::to_string(g) + ".resp_lxbar", tpg,
               BufferMode::kRegistered, tpg,
-              RouteFn([tpg](const Packet& p) {
+              [tpg](const Packet& p) {
                 return static_cast<unsigned>(p.src_tile % tpg);
               }),
-              /*in_capacity=*/2, &ga),
           g);
       for (uint32_t j = 0; j < tpg; ++j) {
         Tile& tl = b.tile(g * tpg + j);
@@ -304,24 +296,21 @@ class TopH final : public FabricTopology {
     for (uint32_t g = 0; g < ng; ++g) {
       for (uint32_t i = 1; i < ng; ++i) {
         const uint32_t h = (g + i) % ng;  // destination group
-        Arena& ha = b.arena(h);
         ButterflyNet* req = b.add_req_butterfly(
-            ha.make<ButterflyNet>(
+            std::make_unique<ButterflyNet>(
                 "req_bfly_g" + std::to_string(g) + "_d" + std::to_string(i),
                 tpg, 4u, bfly_layer_modes(layers),
-                EndpointFn([tpg](const Packet& p) {
+                [tpg](const Packet& p) {
                   return static_cast<unsigned>(p.dst_tile % tpg);
                 }),
-                /*buffer_capacity=*/2, &ha),
             h);
         ButterflyNet* resp = b.add_resp_butterfly(
-            ha.make<ButterflyNet>(
+            std::make_unique<ButterflyNet>(
                 "resp_bfly_g" + std::to_string(g) + "_d" + std::to_string(i),
                 tpg, 4u, bfly_layer_modes(layers),
-                EndpointFn([tpg](const Packet& p) {
+                [tpg](const Packet& p) {
                   return static_cast<unsigned>(p.src_tile % tpg);
                 }),
-                /*buffer_capacity=*/2, &ha),
             h);
         for (uint32_t j = 0; j < tpg; ++j) {
           Tile& src_tile = b.tile(g * tpg + j);

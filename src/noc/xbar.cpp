@@ -9,7 +9,7 @@ namespace mempool {
 
 XbarSwitch::XbarSwitch(std::string name, std::vector<BufferMode> in_modes,
                        std::size_t num_outputs, RouteFn route,
-                       std::size_t in_capacity, Arena* arena)
+                       std::size_t in_capacity)
     : Component(std::move(name)),
       out_(num_outputs, nullptr),
       rr_(num_outputs, 0),
@@ -21,9 +21,9 @@ XbarSwitch::XbarSwitch(std::string name, std::vector<BufferMode> in_modes,
   occ_.assign((in_modes.size() + 63) / 64, 0);
   out_req_.assign((num_outputs + 63) / 64, 0);
   in_sinks_.reserve(in_modes.size());
-  in_.reserve_exact(in_modes.size(), arena);
+  in_.reserve_exact(in_modes.size());
   for (BufferMode m : in_modes) {
-    in_.emplace_back(m, in_capacity, arena);
+    in_.emplace_back(m, in_capacity);
   }
   unsigned bit = 0;
   for (auto& buf : in_) {
@@ -38,10 +38,10 @@ XbarSwitch::XbarSwitch(std::string name, std::vector<BufferMode> in_modes,
 
 XbarSwitch::XbarSwitch(std::string name, std::size_t num_inputs,
                        BufferMode in_mode, std::size_t num_outputs,
-                       RouteFn route, std::size_t in_capacity, Arena* arena)
+                       RouteFn route, std::size_t in_capacity)
     : XbarSwitch(std::move(name),
                  std::vector<BufferMode>(num_inputs, in_mode), num_outputs,
-                 std::move(route), in_capacity, arena) {}
+                 std::move(route), in_capacity) {}
 
 PacketSink* XbarSwitch::input(std::size_t i) {
   MEMPOOL_CHECK(i < in_sinks_.size());

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
+#include "common/pinned_vector.hpp"
 #include "sim/component.hpp"
 #include "sim/elastic_buffer.hpp"
 #include "sim/engine.hpp"
@@ -29,17 +29,14 @@ class XbarSwitch final : public Component {
   ///                  register boundary (adds one cycle).
   /// @param in_capacity elastic buffer depth per input (>= 1; 2 sustains
   ///                  full throughput across registered boundaries).
-  /// @param arena     when given, the input buffers (and any deep ring
-  ///                  storage) are carved contiguously out of this arena —
-  ///                  the shard arena of the cluster that owns the switch.
   XbarSwitch(std::string name, std::vector<BufferMode> in_modes,
              std::size_t num_outputs, RouteFn route,
-             std::size_t in_capacity = 2, Arena* arena = nullptr);
+             std::size_t in_capacity = 2);
 
   /// Convenience: all inputs share one mode.
   XbarSwitch(std::string name, std::size_t num_inputs, BufferMode in_mode,
              std::size_t num_outputs, RouteFn route,
-             std::size_t in_capacity = 2, Arena* arena = nullptr);
+             std::size_t in_capacity = 2);
 
   /// Sink for upstream producers to push into input @p i.
   PacketSink* input(std::size_t i);
@@ -77,7 +74,7 @@ class XbarSwitch final : public Component {
   // PinnedVector, not vector: ElasticBuffer is pinned (non-movable) because
   // the engine's commit slots and the wake plumbing hold raw pointers into
   // it. The one-shot reservation keeps all input buffers in one contiguous
-  // block (arena-backed when the cluster supplies a shard arena).
+  // block.
   PinnedVector<PacketBuffer> in_;
   std::vector<BufferSink<PacketBuffer>> in_sinks_;
   std::vector<PacketSink*> out_;

@@ -5,8 +5,7 @@
 // four TopH groups in the four quadrants (Figure 3b), TopH2's sixteen groups
 // in a 4×4 grid on a double-edge die. This module is a *substitute* for the
 // paper's place-and-route flow: it reproduces the geometry so the
-// wiring/congestion analysis can reproduce the paper's relative claims (see
-// DESIGN.md §1).
+// wiring/congestion analysis can reproduce the paper's relative claims.
 
 #include <cstdint>
 #include <vector>

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -72,9 +73,15 @@ constexpr const char* kRequestFields[] = {
     // canonical serialization (it must not split the cache key space).
     "deadline_ms"};
 
+/// A 32-bit member; wider values are rejected rather than truncated into a
+/// different point (and that point's cache key).
 uint32_t override_u32(const Json& j, const char* key, uint32_t fallback) {
   if (!j.contains(key)) return fallback;
-  return static_cast<uint32_t>(j.at(key).as_uint());
+  const uint64_t v = j.at(key).as_uint();
+  MEMPOOL_CHECK_MSG(v <= UINT32_MAX, "request member '"
+                                         << key << "' (" << v
+                                         << ") exceeds " << UINT32_MAX);
+  return static_cast<uint32_t>(v);
 }
 
 }  // namespace
@@ -143,8 +150,7 @@ SimRequest SimRequest::from_json(const Json& j) {
   MEMPOOL_CHECK_MSG(engine_mode_from_name(engine, &cfg.engine),
                     "unknown engine '" << engine << "'; available: "
                                        << engine_mode_available());
-  cfg.sim_threads = static_cast<unsigned>(
-      j.get("sim_threads", Json(uint64_t{1})).as_uint());
+  cfg.sim_threads = override_u32(j, "sim_threads", 1);
   cfg.warmup_cycles = j.get("warmup_cycles", Json(cfg.warmup_cycles)).as_uint();
   cfg.measure_cycles =
       j.get("measure_cycles", Json(cfg.measure_cycles)).as_uint();

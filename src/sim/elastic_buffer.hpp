@@ -21,11 +21,10 @@
 // Storage: bounded buffers up to kInlineCapacity keep their items in an
 // inline ring (the whole buffer is a few contiguous cache lines — the fabric
 // hot path never chases deque nodes); unbounded buffers (capacity 0, the
-// ideal TopX bank queues) and deeper ones use a contiguous heap- or
-// arena-backed ring. Bounded deep rings are sized once at construction;
-// unbounded rings grow by amortized doubling (never per push), so the hot
-// path stays allocation-free — storage_reallocs() counts the growth events
-// and is pinned by a test.
+// ideal TopX bank queues) and deeper ones use a contiguous heap ring.
+// Bounded deep rings are sized once at construction; unbounded rings grow by
+// amortized doubling (never per push), so the hot path stays allocation-free
+// — storage_reallocs() counts the growth events and is pinned by a test.
 //
 // Activity plumbing: the component that owns this buffer as an input sets
 // itself as the consumer; pushes (combinational) and commits (registered)
@@ -37,10 +36,11 @@
 // scans.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <new>
+#include <string>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "sim/activity.hpp"
 #include "sim/shard.hpp"
@@ -68,7 +68,7 @@ template <typename T>
 class ElasticBuffer final : public Clocked {
  public:
   /// Capacities up to this use the inline ring; 0 (unbounded) and deeper
-  /// buffers use a heap-backed deque.
+  /// buffers use a heap-backed power-of-two ring.
   static constexpr std::size_t kInlineCapacity = 4;
 
   /// Unbounded rings start here and double on demand.
@@ -77,12 +77,8 @@ class ElasticBuffer final : public Clocked {
   /// @param mode     registered (1-cycle) or combinational (0-cycle) input.
   /// @param capacity max occupancy including the staged item; 0 = unbounded
   ///                 (used only by the ideal TopX fabric's bank queues).
-  /// @param arena    when given, the overflow ring's *initial* storage comes
-  ///                 from this arena (growth of unbounded rings falls back to
-  ///                 the heap; the abandoned arena block is reclaimed when
-  ///                 the arena dies). Elaboration-time only.
   explicit ElasticBuffer(BufferMode mode = BufferMode::kCombinational,
-                         std::size_t capacity = 2, Arena* arena = nullptr)
+                         std::size_t capacity = 2)
       : mode_(mode), capacity_(capacity) {
     if (capacity_ == 0 || capacity_ > kInlineCapacity) {
       // Bounded deep buffers get their exact power-of-two once and never
@@ -92,12 +88,12 @@ class ElasticBuffer final : public Clocked {
         cap = 2;
         while (cap < capacity_) cap <<= 1;
       }
-      overflow_ = alloc_ring(cap, arena, &overflow_heap_);
+      overflow_ = alloc_ring(cap);
       overflow_cap_ = cap;
     }
   }
 
-  ~ElasticBuffer() override { release_ring(overflow_, overflow_cap_, overflow_heap_); }
+  ~ElasticBuffer() override { release_ring(overflow_, overflow_cap_); }
 
   // Non-copyable and non-movable: the engine's commit list, the switches'
   // BufferSink adapters, and the wake plumbing all hold raw pointers to a
@@ -393,38 +389,29 @@ class ElasticBuffer final : public Clocked {
                                 : ring_[head_];
   }
 
-  static T* alloc_ring(uint32_t cap, Arena* arena, bool* heap_owned) {
-    void* storage =
-        arena != nullptr
-            ? arena->allocate(sizeof(T) * cap, alignof(T))
-            : ::operator new(sizeof(T) * cap, std::align_val_t(alignof(T)));
-    *heap_owned = arena == nullptr;
-    T* ring = static_cast<T*>(storage);
+  static T* alloc_ring(uint32_t cap) {
+    T* ring = static_cast<T*>(
+        ::operator new(sizeof(T) * cap, std::align_val_t(alignof(T))));
     for (uint32_t i = 0; i < cap; ++i) new (ring + i) T{};
     return ring;
   }
 
-  static void release_ring(T* ring, uint32_t cap, bool heap_owned) {
+  static void release_ring(T* ring, uint32_t cap) {
     if (ring == nullptr) return;
     for (uint32_t i = cap; i > 0; --i) ring[i - 1].~T();
-    if (heap_owned) ::operator delete(ring, std::align_val_t(alignof(T)));
-    // Arena-backed storage is reclaimed when the arena dies.
+    ::operator delete(ring, std::align_val_t(alignof(T)));
   }
 
-  /// Double the overflow ring (unbounded buffers only). Growth always goes
-  /// to the heap — it can happen mid-simulation, where the single-threaded
-  /// elaboration arena must not be touched.
+  /// Double the overflow ring (unbounded buffers only).
   void grow_overflow() {
     const uint32_t new_cap = overflow_cap_ * 2;
-    bool new_heap = false;
-    T* fresh = alloc_ring(new_cap, nullptr, &new_heap);
+    T* fresh = alloc_ring(new_cap);
     for (uint32_t i = 0; i < count_; ++i) {
       fresh[i] = overflow_[(head_ + i) & (overflow_cap_ - 1)];
     }
-    release_ring(overflow_, overflow_cap_, overflow_heap_);
+    release_ring(overflow_, overflow_cap_);
     overflow_ = fresh;
     overflow_cap_ = new_cap;
-    overflow_heap_ = new_heap;
     head_ = 0;
     ++ring_reallocs_;
   }
@@ -456,7 +443,6 @@ class ElasticBuffer final : public Clocked {
   uint64_t drains_ = 0;  ///< Lifetime pop() count (watchdog progress metric).
   T* overflow_ = nullptr;       ///< Contiguous pow2 ring when deep/unbounded.
   uint32_t overflow_cap_ = 0;   ///< Power of two; 0 in inline mode.
-  bool overflow_heap_ = false;  ///< Heap-backed (vs arena-backed) storage.
   uint64_t ring_reallocs_ = 0;  ///< Growth events (see storage_reallocs()).
   T staged_{};
   bool staged_valid_ = false;

@@ -1,4 +1,4 @@
-// Zero-load latency contract (DESIGN.md §3, paper Sections III-B/C): these
+// Zero-load latency contract (paper Sections III-B/C): these
 // tests pin the cycle-exact latencies the whole reproduction rests on.
 
 #include <gtest/gtest.h>

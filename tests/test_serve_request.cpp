@@ -110,6 +110,24 @@ TEST(SimRequest, UnknownMembersAreRejectedNamingTheSchema) {
   }
 }
 
+// A 32-bit member wider than 32 bits is rejected, not wrapped: truncated,
+// "num_tiles": 2^32 + 16 would simulate and cache the 16-tile cluster.
+TEST(SimRequest, OverRangeIntegersAreRejectedNamingTheMember) {
+  for (const char* member :
+       {"num_tiles", "cores_per_tile", "banks_per_tile", "bank_bytes",
+        "seq_region_bytes", "num_groups", "sim_threads"}) {
+    try {
+      parse(std::string(R"({")") + member + R"(": 4294967312})");
+      ADD_FAILURE() << member << ": expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(member), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse(R"({"sim_threads": 4294967295})").config.sim_threads,
+            4294967295u);
+}
+
 TEST(SimRequest, UnknownPluginAndEngineNamesListTheAlternatives) {
   try {
     parse(R"({"topology": "TopZ"})");

@@ -119,16 +119,6 @@ TEST(ElasticBuffer, BoundedDeepBufferNeverReallocates) {
   EXPECT_EQ(b.storage_reallocs(), 0u);
 }
 
-TEST(ElasticBuffer, ArenaBackedOverflowStorage) {
-  Arena arena;
-  const std::size_t before = arena.bytes_used();
-  ElasticBuffer<int> b(BufferMode::kCombinational, 64, &arena);
-  EXPECT_GT(arena.bytes_used(), before) << "deep ring storage from the arena";
-  for (int i = 0; i < 63; ++i) b.push(i);
-  for (int i = 0; i < 63; ++i) ASSERT_EQ(b.pop(), i);
-  EXPECT_EQ(b.storage_reallocs(), 0u);
-}
-
 TEST(ElasticBuffer, CombinationalPushWakesConsumer) {
   ElasticBuffer<int> b(BufferMode::kCombinational, 2);
   Wakeable consumer;

@@ -177,12 +177,12 @@ TEST(EngineSnapshot, SaveLoadResaveIsByteIdentical) {
 }
 
 TEST(EngineSnapshot, PreArenaImageStillRestores) {
-  // tests/data/pre_arena_toph_mini.ckpt was saved before the shard-arena
+  // tests/data/pre_arena_toph_mini.ckpt was saved before a since-removed
   // refactor moved the cluster's components and ring storage into per-shard
-  // arenas (this LiveTraffic recipe at cycle 300). The arena layout changes
+  // arenas (this LiveTraffic recipe at cycle 300). Memory layout changes
   // where state lives, not what state exists: the old image must load into
-  // an arena-resident cluster, and re-saving must reproduce exactly the
-  // bytes a from-scratch run produces at the same cycle.
+  // the current cluster, and re-saving must reproduce exactly the bytes a
+  // from-scratch run produces at the same cycle.
   const auto path = std::filesystem::path(__FILE__).parent_path() / "data" /
                     "pre_arena_toph_mini.ckpt";
   std::ifstream in(path, std::ios::binary);

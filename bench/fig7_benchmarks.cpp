@@ -8,7 +8,7 @@
 //   * with dct(+S) all topologies match the baseline.
 //
 // The 24 (kernel, topology, scrambling) simulations are independent — each
-// owns its System — and run through the work-stealing pool.
+// owns its System — and run through the thread pool.
 
 #include <chrono>
 #include <cstdio>

@@ -15,9 +15,9 @@
 // the SPM via the per-group DMA engines.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "common/parse.hpp"
 #include "core/system.hpp"
 #include "isa/text_asm.hpp"
 #include "kernels/kernel.hpp"
@@ -38,13 +38,10 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--sim-threads") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (v == 0 || (end != nullptr && *end != '\0')) {
+      if (!parse_number(argv[++i], &sim_threads) || sim_threads == 0) {
         std::fprintf(stderr, "--sim-threads wants a positive integer\n");
         return 2;
       }
-      sim_threads = static_cast<unsigned>(v);
     } else if (std::strcmp(argv[i], "--memory") == 0 && i + 1 < argc) {
       memory = argv[++i];
       if (MemoryRegistry::find(memory) == nullptr) {

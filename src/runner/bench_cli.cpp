@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "mem/memsys.hpp"
 #include "noc/fabric.hpp"
 #include "runner/results.hpp"
@@ -186,10 +187,7 @@ BenchOptions parse_bench_options(int* argc, char** argv,
       return argv[++i];
     };
     if (std::strcmp(a, "--threads") == 0) {
-      const char* v_str = value();
-      char* end = nullptr;
-      const long v = std::strtol(v_str, &end, 10);
-      if (v <= 0 || (end != nullptr && *end != '\0')) {
+      if (!parse_number(value(), &opts.threads) || opts.threads == 0) {
         std::fprintf(stderr,
                      "%s: --threads wants a positive integer (sweep workers: "
                      "how many points run concurrently); engine-level "
@@ -197,12 +195,8 @@ BenchOptions parse_bench_options(int* argc, char** argv,
                      bench_name.c_str());
         usage(bench_name, 2);
       }
-      opts.threads = static_cast<unsigned>(v);
     } else if (std::strcmp(a, "--sim-threads") == 0) {
-      const char* v_str = value();
-      char* end = nullptr;
-      const long v = std::strtol(v_str, &end, 10);
-      if (v <= 0 || (end != nullptr && *end != '\0')) {
+      if (!parse_number(value(), &opts.sim_threads) || opts.sim_threads == 0) {
         std::fprintf(stderr,
                      "%s: --sim-threads wants a positive integer (engine "
                      "threads per point); sweep-level parallelism is "
@@ -210,7 +204,6 @@ BenchOptions parse_bench_options(int* argc, char** argv,
                      bench_name.c_str());
         usage(bench_name, 2);
       }
-      opts.sim_threads = static_cast<unsigned>(v);
     } else if (std::strcmp(a, "--sim_threads") == 0 ||
                std::strcmp(a, "--engine-threads") == 0 ||
                std::strcmp(a, "--engine_threads") == 0) {
@@ -264,17 +257,13 @@ BenchOptions parse_bench_options(int* argc, char** argv,
     } else if (std::strcmp(a, "--drc-out") == 0) {
       drc_out = value();
     } else if (std::strcmp(a, "--stall-horizon") == 0) {
-      const char* v_str = value();
-      char* end = nullptr;
-      const long long v = std::strtoll(v_str, &end, 10);
-      if (v < 0 || (end != nullptr && *end != '\0')) {
+      if (!parse_number(value(), &opts.stall_horizon)) {
         std::fprintf(stderr,
                      "%s: --stall-horizon wants a non-negative cycle count "
                      "(0 disables the progress watchdog)\n",
                      bench_name.c_str());
         usage(bench_name, 2);
       }
-      opts.stall_horizon = static_cast<uint64_t>(v);
     } else if (std::strcmp(a, "--checkpoint-every") == 0 ||
                std::strcmp(a, "--checkpoint-out") == 0 ||
                std::strcmp(a, "--restore") == 0) {
@@ -286,17 +275,13 @@ BenchOptions parse_bench_options(int* argc, char** argv,
         std::exit(2);
       }
       if (std::strcmp(a, "--checkpoint-every") == 0) {
-        const char* v_str = value();
-        char* end = nullptr;
-        const long long v = std::strtoll(v_str, &end, 10);
-        if (v < 0 || (end != nullptr && *end != '\0')) {
+        if (!parse_number(value(), &opts.checkpoint_every)) {
           std::fprintf(stderr,
                        "%s: --checkpoint-every wants a non-negative cycle "
                        "count (0 disables checkpointing)\n",
                        bench_name.c_str());
           usage(bench_name, 2);
         }
-        opts.checkpoint_every = static_cast<uint64_t>(v);
       } else if (std::strcmp(a, "--checkpoint-out") == 0) {
         opts.checkpoint_out = value();
       } else {

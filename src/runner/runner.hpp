@@ -1,7 +1,7 @@
 #pragma once
 // Parallel experiment runner: shards the independent simulation points of a
 // SweepSpec (or any explicit config list) across host cores with the
-// work-stealing ThreadPool.
+// ThreadPool.
 //
 // Determinism contract: run_traffic_point owns all of its mutable state
 // (Engine, Cluster, generators, per-point RNG streams keyed by cfg.seed), so

@@ -3,11 +3,21 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "runner/spin.hpp"
 
 namespace mempool::runner {
 
 namespace {
+
+/// One PAUSE-class instruction for the spin loops below.
+void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#else
+  // Portable fallback: nothing; every spin below is bounded anyway.
+#endif
+}
 
 /// Spin iterations before a waiter parks (helpers) or yields (leader). At
 /// ~1-3 ns per pause this is a few microseconds — comfortably longer than a

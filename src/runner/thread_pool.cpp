@@ -2,30 +2,23 @@
 
 #include <cstdlib>
 
-#include "runner/spin.hpp"
+#include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace mempool::runner {
-
-namespace {
-// Which worker of which pool the current thread is, so nested submit() can
-// push to the local deque. A thread belongs to at most one pool.
-thread_local ThreadPool* t_pool = nullptr;
-thread_local std::size_t t_index = 0;
-
-// Bounded idle spin before a worker parks: long enough (a few microseconds)
-// to catch the next barrier round of a busy sharded run without a futex
-// round trip, short enough that an idle pool goes to sleep immediately on
-// any human timescale.
-constexpr int kIdleSpinBudget = 2048;
-}  // namespace
 
 unsigned ThreadPool::default_threads() {
   // getenv races with setenv, but nothing in this process ever calls setenv:
   // the env is read-only configuration established before main().
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* env = std::getenv("MEMPOOL_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+    unsigned v = 0;
+    MEMPOOL_CHECK_MSG(parse_number(env, &v),
+                      "MEMPOOL_THREADS='" << env
+                                          << "' is not a worker count (a "
+                                             "whole non-negative decimal "
+                                             "number; 0 = all cores)");
+    if (v > 0) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
@@ -33,138 +26,66 @@ unsigned ThreadPool::default_threads() {
 
 ThreadPool::ThreadPool(unsigned num_threads) {
   if (num_threads == 0) num_threads = default_threads();
-  queues_.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i)
-    queues_.push_back(std::make_unique<Worker>());
-  workers_.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    for (unsigned i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop_workers();  // a failed thread start must not leave joinable threads
+    throw;
+  }
 }
 
 ThreadPool::~ThreadPool() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     cv_idle_.wait(lock, [&] { return pending_ == 0; });
+  }
+  stop_workers();
+}
+
+void ThreadPool::stop_workers() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   cv_work_.notify_all();
-  for (auto& w : workers_) w.join();
+  for (std::thread& t : workers_) t.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  std::size_t target;
   {
-    // pending_ goes up BEFORE the task becomes stealable: a worker that pops
-    // and finishes it immediately must never drive pending_ below the count
-    // of submitted-but-unfinished tasks (wait_idle would report idle early).
     std::lock_guard<std::mutex> lock(mu_);
     ++pending_;
-    if (t_pool == this) {
-      target = t_index;  // worker thread: keep the work local
-    } else {
-      target = next_queue_;
-      next_queue_ = (next_queue_ + 1) % queues_.size();
-    }
+    queue_.push_back(std::move(task));
   }
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->deque.push_front(std::move(task));
-  }
-  work_epoch_.fetch_add(1, std::memory_order_release);  // wakes spinners
-  {
-    // Notify under mu_, after the push: a worker that found the deques empty
-    // holds mu_ until it blocks on cv_work_, so this notification cannot
-    // slip into the gap between its scan and its wait.
-    std::lock_guard<std::mutex> lock(mu_);
-    cv_work_.notify_one();
-  }
+  cv_work_.notify_one();
 }
 
-bool ThreadPool::try_pop(std::size_t self, std::function<void()>& task) {
-  // Own deque first (front = most recently pushed).
-  {
-    Worker& w = *queues_[self];
-    std::lock_guard<std::mutex> lock(w.mu);
-    if (!w.deque.empty()) {
-      task = std::move(w.deque.front());
-      w.deque.pop_front();
-      return true;
-    }
-  }
-  // Steal from the back of the other deques, starting after self so the
-  // stealing pressure spreads instead of piling onto worker 0.
-  const std::size_t n = queues_.size();
-  for (std::size_t k = 1; k < n; ++k) {
-    Worker& v = *queues_[(self + k) % n];
-    std::lock_guard<std::mutex> lock(v.mu);
-    if (!v.deque.empty()) {
-      task = std::move(v.deque.back());
-      v.deque.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::run_task(std::function<void()>& task) {
-  std::exception_ptr error;
-  try {
-    task();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  task = nullptr;  // release captures before signaling idle
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (error && !first_error_) first_error_ = error;
-    --pending_;
-    if (pending_ == 0) cv_idle_.notify_all();
-  }
-}
-
-bool ThreadPool::any_queued() {
-  for (auto& w : queues_) {
-    std::lock_guard<std::mutex> lock(w->mu);
-    if (!w->deque.empty()) return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  t_pool = this;
-  t_index = self;
-  std::function<void()> task;
-  while (true) {
-    if (try_pop(self, task)) {
-      run_task(task);
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (queue_.empty()) {
+      if (stop_) return;
+      ++park_events_;
+      ++parked_;
+      cv_work_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+      --parked_;
       continue;
     }
-    // Bounded spin: watch the submit epoch (one cheap shared load per
-    // iteration, no queue locks) for a few microseconds before paying for a
-    // park — barrier workloads re-submit on exactly this timescale.
-    {
-      // (stop_ is checked under mu_ below; the spin just expires first.)
-      const uint64_t seen = work_epoch_.load(std::memory_order_acquire);
-      bool woke = false;
-      for (int spins = 0; spins < kIdleSpinBudget; ++spins) {
-        if (work_epoch_.load(std::memory_order_acquire) != seen) {
-          woke = true;
-          break;
-        }
-        cpu_pause();
-      }
-      if (woke) continue;
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stop_) return;
-    // Re-scan while holding mu_: submit() publishes the task before taking
-    // mu_ to notify, so either we see the task here or the notify happens
-    // after we block — an untimed wait cannot miss work.
-    if (any_queued()) continue;
-    park_events_.fetch_add(1, std::memory_order_relaxed);
-    parked_.fetch_add(1, std::memory_order_release);
-    cv_work_.wait(lock);
-    parked_.fetch_sub(1, std::memory_order_release);
+    task = nullptr;  // release captures before signaling idle
+    lock.lock();
+    if (error && !first_error_) first_error_ = error;
+    if (--pending_ == 0) cv_idle_.notify_all();
   }
 }
 

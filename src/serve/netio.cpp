@@ -25,7 +25,10 @@ namespace {
 // single connection), only that the schedule is periodic and cannot race to
 // a torn value.
 
-NetioFaults g_faults;  // written by set_netio_faults before I/O starts
+// A test may install a new schedule while server reader threads still read
+// the previous one, so every access goes through g_faults_mu.
+std::mutex g_faults_mu;
+NetioFaults g_faults;
 std::atomic<uint64_t> g_write_ops{0};
 std::atomic<uint64_t> g_read_ops{0};
 
@@ -37,6 +40,7 @@ void seed_faults_from_env() {
   std::call_once(once, [] {
     const char* env = std::getenv("MEMPOOL_NETIO_FAULTS");
     if (env == nullptr || *env == '\0') return;
+    const std::lock_guard<std::mutex> lock(g_faults_mu);
     NetioFaults f = g_faults;
     std::string spec(env);
     std::size_t pos = 0;
@@ -64,6 +68,13 @@ void seed_faults_from_env() {
     }
     g_faults = f;
   });
+}
+
+/// The installed schedule, seeded from the environment on first use.
+NetioFaults current_faults() {
+  seed_faults_from_env();
+  const std::lock_guard<std::mutex> lock(g_faults_mu);
+  return g_faults;
 }
 
 bool period_hit(uint32_t every, uint64_t op) {
@@ -101,7 +112,10 @@ sockaddr_un make_addr(const std::string& path) {
 }  // namespace
 
 void set_netio_faults(const NetioFaults& f) {
-  g_faults = f;
+  {
+    const std::lock_guard<std::mutex> lock(g_faults_mu);
+    g_faults = f;
+  }
   g_write_ops.store(0, std::memory_order_relaxed);
   g_read_ops.store(0, std::memory_order_relaxed);
 }
@@ -165,15 +179,15 @@ int connect_unix(const std::string& path, int timeout_ms) {
 }
 
 bool write_all(int fd, const std::string& data) {
-  seed_faults_from_env();
+  const NetioFaults faults = current_faults();
   const uint64_t op = g_write_ops.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (period_hit(g_faults.drop_every, op)) {
+  if (period_hit(faults.drop_every, op)) {
     // Injected connection drop: the peer sees EOF mid-stream, exactly like
     // a daemon dying between responses.
     ::shutdown(fd, SHUT_RDWR);
     return false;
   }
-  if (period_hit(g_faults.short_write_every, op)) {
+  if (period_hit(faults.short_write_every, op)) {
     // Injected short write: a prefix of the frame escapes, then the
     // connection dies — the peer's LineReader must discard the partial
     // line, the writer must report failure.
@@ -204,12 +218,12 @@ bool LineReader::read_line(std::string* line) {
       return true;
     }
     if (eof_) return false;
-    seed_faults_from_env();
+    const NetioFaults faults = current_faults();
     const uint64_t op = g_read_ops.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (period_hit(g_faults.delay_every, op) && g_faults.delay_ms > 0) {
+    if (period_hit(faults.delay_every, op) && faults.delay_ms > 0) {
       // Injected latency: exercises client read timeouts without a real
       // slow network.
-      std::this_thread::sleep_for(std::chrono::milliseconds(g_faults.delay_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(faults.delay_ms));
     }
     char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof chunk);

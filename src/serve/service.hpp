@@ -13,9 +13,9 @@
 //               a thousand users asking for the same sweep point cost one
 //               simulation;
 //   miss        the point is queued onto the runner ThreadPool (the same
-//               work-stealing pool the sweep runner batches points on) and
-//               computed by run_point(); the result is inserted into the
-//               cache and every waiter is answered.
+//               pool the sweep runner batches points on; cold points start
+//               oldest first) and computed by run_point(); the result is
+//               inserted into the cache and every waiter is answered.
 //
 // submit() never blocks on simulation and callbacks never wedge the pool:
 // the in-flight owner computes on a pool thread while every waiter is a

@@ -188,8 +188,8 @@ class ElasticBuffer final : public Clocked {
       ShardLane* lane = current_shard_lane();
       if (lane != nullptr && boundary_ && consumer_shard_ != lane->id) {
         // Sharded evaluate phase, push crossing the boundary: hand the buffer
-        // to the consumer shard through the producer's SPSC ring (the
-        // consumer's commit phase drains it). Marking the dirty bit instead
+        // to the consumer shard through the producer lane's outbox (the
+        // consumer's commit phase commits it). Marking the dirty bit instead
         // would write the consumer shard's bitset segment mid-evaluate — a
         // data race with that shard's own staging.
         lane->push_cross(consumer_shard_, this);

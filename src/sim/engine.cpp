@@ -158,7 +158,7 @@ void Engine::set_sharded(uint32_t num_shards, ShardExecutor* exec) {
 
 namespace {
 /// describe() sink used by finalize() to read one clocked element's BufferDecl
-/// (shard-boundary status + consumer shard) for ring sizing and validation.
+/// (shard-boundary status + consumer shard) for outbox sizing and validation.
 struct BoundaryScan final : GraphVisitor {
   BufferDecl decl;
   bool seen = false;
@@ -250,14 +250,15 @@ void Engine::finalize() {
   }
   if (!sharded()) return;
 
-  // Cross-shard ring sizing. A registered buffer stages at most one item per
-  // cycle (a second same-cycle push is a model error), so the number of
+  // Cross-shard outbox sizing. A registered buffer stages at most one item
+  // per cycle (a second same-cycle push is a model error), so the number of
   // declared shard-boundary buffers consumed by shard d bounds how many
-  // handoffs ANY producer shard can stage toward d in one cycle — the D4
-  // boundary registry doubles as an exact worst-case ring depth. While
-  // walking, validate that each boundary buffer was registered to the shard
-  // its declaration names as consumer: the commit phase latches into
-  // consumer-shard state, so a mismatch would be a data race.
+  // handoffs ANY producer shard can stage toward d in one cycle, and how
+  // many boundary buffers shard d can drain — the D4 boundary registry
+  // doubles as an exact worst-case depth. While walking, validate that each
+  // boundary buffer was registered to the shard its declaration names as
+  // consumer: the commit phase latches into consumer-shard state, so a
+  // mismatch would be a data race.
   std::vector<std::size_t> boundary_count(S, 0);
   for (std::size_t i = 0; i < clocked_.size(); ++i) {
     BoundaryScan scan;
@@ -271,13 +272,12 @@ void Engine::finalize() {
             << " (add_clocked must pass the consumer's shard)");
     ++boundary_count[scan.decl.consumer_shard];
   }
-  rings_ = std::make_unique<SpscRing<Clocked*>[]>(std::size_t{S} * S);
-  for (uint32_t s = 0; s < S; ++s) {
+  for (ShardLane& lane : lanes_) {
+    lane.outboxes.resize(S);
     for (uint32_t d = 0; d < S; ++d) {
-      rings_[std::size_t{s} * S + d].init(
-          boundary_count[d] == 0 ? 1 : boundary_count[d]);
+      lane.outboxes[d].reserve(boundary_count[d]);
     }
-    lanes_[s].outbox_row = &rings_[std::size_t{s} * S];
+    lane.drained.reserve(boundary_count[lane.id]);
   }
 }
 
@@ -299,12 +299,12 @@ void Engine::lane_evaluate(std::size_t s) {
 void Engine::lane_commit(std::size_t d) {
   ShardLane& lane = lanes_[d];
   const uint64_t t0 = profile_ ? prof_now_ns() : 0;
-  // Latch this lane's own dirty segment first (slot order), then drain the
-  // rings addressed to it in ascending source-shard order. All commits touch
-  // only consumer-shard state (ring/occupancy/wake of shard d), so the
-  // commit phase is itself parallel across shards; the fixed order is for
-  // determinism only (and even that is belt-and-braces: distinct buffers
-  // commute).
+  // Latch this lane's own dirty segment first (slot order), then the
+  // outboxes addressed to it in ascending producer-shard order. All commits
+  // touch only consumer-shard state (storage/occupancy/wake of shard d), so
+  // the commit phase is itself parallel across shards; the fixed order is
+  // for determinism only (and even that is belt-and-braces: distinct
+  // buffers commute).
   if (dense_) {
     set_low_bits(dirty_.data() + lane.dirty_begin, lane.num_cslots);
     lane.dirty_pending = lane.num_cslots;
@@ -317,13 +317,10 @@ void Engine::lane_commit(std::size_t d) {
   }
   const uint64_t t1 = profile_ ? prof_now_ns() : 0;
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    if (s == d) continue;
-    SpscRing<Clocked*>& ring = lanes_[s].outbox_row[d];
-    Clocked* c = nullptr;
-    while (ring.try_pop(&c)) {
-      c->commit();
-      ++n;
-    }
+    std::vector<Clocked*>& box = lanes_[s].outboxes[d];
+    for (Clocked* c : box) c->commit();
+    n += box.size();
+    box.clear();
   }
   // Refresh the producer-visible snapshots of every boundary buffer this
   // shard drained: producers judge next cycle's backpressure against the

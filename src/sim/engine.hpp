@@ -47,7 +47,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -288,7 +287,7 @@ class Engine {
   // --- per-phase profiling (micro_sim_speed --profile) -----------------------
   /// Wall-clock nanoseconds attributed to each phase of the cycle loop while
   /// set_profile(true): evaluate = timer firing + active-set scans, commit =
-  /// commit-dirty bitset scans, drain = cross-shard ring drains + boundary
+  /// commit-dirty bitset scans, drain = cross-shard outbox commits + boundary
   /// snapshot refreshes (sharded only), barrier = dispatch/join overhead of
   /// the parallel phases (phase wall time minus the busiest lane's work).
   /// A cycle whose lanes run one after another on the calling thread has no
@@ -348,10 +347,6 @@ class Engine {
   std::vector<uint64_t> flags_;  ///< Packed wake bits, one per component.
   std::vector<uint64_t> dirty_;  ///< Packed commit-dirty bits, one per clocked.
   std::vector<ShardLane> lanes_;
-  /// S×S matrix of cross-shard handoff rings, row-major by producer shard
-  /// (lanes_[s].outbox_row = &rings_[s * S]); sized at finalize from the
-  /// boundary-buffer registry, empty under the sequential modes.
-  std::unique_ptr<SpscRing<Clocked*>[]> rings_;
   /// Timers armed outside any sharded evaluate phase (every timer under the
   /// sequential modes; external pokes under sharded).
   TimerWheel timers_;

@@ -7,8 +7,8 @@
 //             wake bitset, evaluating the awake components in registration
 //             order (restricted to the lane).
 //   commit    each lane scans its own segment of the commit-dirty bitset
-//             (slot order), then drains the rings addressed to it in
-//             ascending source-lane order.
+//             (slot order), then commits the outboxes addressed to it in
+//             ascending producer-lane order.
 //
 // The sequential modes (active, dense) step one lane that holds every
 // component and clocked element, on the calling thread with no current lane
@@ -25,14 +25,16 @@
 // registered elastic buffer, so no combinational path — and therefore no
 // intra-cycle effect — ever crosses a shard. Lanes evaluate in parallel, each
 // under a ShardLaneScope; registered pushes whose target buffer lives in
-// another shard are handed off through a lock-free SPSC ring (one per
-// directed shard pair, acquire/release only) instead of marking the consumer
-// shard's commit-dirty segment, and pops from a shard-boundary buffer defer
-// the producer-visible occupancy refresh (see ElasticBuffer) to the commit
-// phase. A barrier separates the phases. Commits of distinct buffers are
-// independent and the only shared words (wake flags, occupancy masks) are
-// combined with idempotent ORs, so any fixed order is bit-identical to the
-// sequential engine's commits.
+// another shard go into the producer lane's outbox for that shard (a plain
+// vector per directed shard pair) instead of marking the consumer shard's
+// commit-dirty segment, and pops from a shard-boundary buffer defer the
+// producer-visible occupancy refresh (see ElasticBuffer) to the commit
+// phase. A full barrier (ShardExecutor::run) separates the phases, so an
+// outbox is written only in its producer's evaluate phase and read only in
+// its consumer's commit phase, never both at once. Commits of distinct
+// buffers are independent and the only shared words (wake flags, occupancy
+// masks) are combined with idempotent ORs, so any fixed order is
+// bit-identical to the sequential engine's commits.
 //
 // Determinism is structural, not best-effort: the per-shard evaluation order
 // is the sequential engine's order restricted to the shard, cross-shard
@@ -56,7 +58,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/spsc_ring.hpp"
 #include "sim/activity.hpp"
 
 namespace mempool {
@@ -177,8 +178,8 @@ const char* engine_mode_description(EngineMode m);
 
 /// One lane's working set. Everything a lane's thread touches while stepping
 /// lives here (or in the components themselves), so the parallel phases
-/// share no mutable state except the explicitly synchronized handoffs
-/// described above.
+/// share no mutable state except the outboxes, which the phase barrier
+/// hands from producer to consumer.
 struct ShardLane {
   uint32_t id = 0;
 
@@ -208,23 +209,26 @@ struct ShardLane {
   /// this lane's commit phase — never concurrently.
   uint64_t dirty_pending = 0;
 
-  /// outbox_row[d]: the lock-free SPSC ring carrying shard-boundary buffers
-  /// staged by this shard toward consumer shard d (this shard's row of the
-  /// engine-owned S×S ring matrix). The producer side runs on this shard's
-  /// evaluate thread, the consumer side on shard d's commit thread; rings
-  /// are sized at elaboration from the boundary registry, so a full ring is
-  /// a model bug, not backpressure. Null for the sequential modes' lane.
-  SpscRing<Clocked*>* outbox_row = nullptr;
+  /// outboxes[d]: shard-boundary buffers this lane staged this cycle for
+  /// consumer lane d. This lane's evaluate phase fills it, lane d's commit
+  /// phase commits and clears it. Reserved at elaboration to the number of
+  /// boundary buffers lane d consumes, which bounds a cycle's pushes, so an
+  /// overflow is a model bug, not backpressure. Empty for the sequential
+  /// modes' lane.
+  std::vector<std::vector<Clocked*>> outboxes;
 
   void push_cross(uint32_t consumer_shard, Clocked* c) {
-    const bool ok = outbox_row[consumer_shard].try_push(c);
-    MEMPOOL_CHECK_MSG(ok, "cross-shard ring " << id << "->" << consumer_shard
-                                              << " overflowed its "
-                                                 "elaboration-time capacity");
+    std::vector<Clocked*>& box = outboxes[consumer_shard];
+    MEMPOOL_CHECK_MSG(box.size() < box.capacity(),
+                      "cross-shard outbox " << id << "->" << consumer_shard
+                                            << " overflowed its "
+                                               "elaboration-time capacity");
+    box.push_back(c);
   }
 
   /// Shard-boundary buffers this shard popped from this cycle; their
   /// producer-visible occupancy snapshot is refreshed in the commit phase.
+  /// Reserved at elaboration like the outboxes, so stepping never allocates.
   std::vector<Clocked*> drained;
 
   /// Timers armed by this lane's components during a sharded evaluate phase.
@@ -237,7 +241,7 @@ struct ShardLane {
 
   // --- per-cycle profiling busy times (Engine::set_profile only) -------------
   /// This cycle's wall-clock ns spent in the lane's evaluate phase, commit
-  /// scan, and ring-drain/snapshot-sync work. Written by the lane's thread,
+  /// scan, and outbox-commit/snapshot-sync work. Written by the lane's thread,
   /// read by the leader after the barrier; untouched when profiling is off.
   uint64_t prof_eval_ns = 0;
   uint64_t prof_commit_ns = 0;

@@ -121,6 +121,11 @@ void Engine::save_state(Snapshot* snap) const {
     MEMPOOL_CHECK_MSG(lane.dirty_pending == 0 && lane.drained.empty(),
                       "checkpoint requires a quiesced cycle boundary "
                       "(pending commit-dirty elements)");
+    for (const std::vector<Clocked*>& box : lane.outboxes) {
+      MEMPOOL_CHECK_MSG(box.empty(),
+                        "checkpoint requires a quiesced cycle boundary "
+                        "(pending cross-shard hand-offs)");
+    }
   }
   snap->cycle = cycle_;
   StateSink es;

@@ -1,4 +1,4 @@
-// Work-stealing thread pool: execution, nested submission, and — most
+// Thread pool: execution, FIFO order, nested submission, and — most
 // importantly — clean draining under exceptions: a throwing task must not
 // kill a worker, wedge wait_idle(), or stop the remaining tasks.
 
@@ -6,12 +6,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <latch>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/check.hpp"
 #include "runner/parallel.hpp"
 #include "runner/shard_gang.hpp"
 #include "runner/thread_pool.hpp"
@@ -35,6 +39,22 @@ TEST(ThreadPool, SingleThreadPoolStillWorks) {
     pool.submit([&] { count.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPool, RunsQueuedTasksInSubmissionOrder) {
+  ThreadPool pool(1);
+  std::latch started(1);
+  std::latch release(1);
+  pool.submit([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();  // the only worker is busy, so 1..5 queue up behind it
+  std::vector<int> order;  // touched by that one worker only
+  for (int i = 1; i <= 5; ++i) pool.submit([&order, i] { order.push_back(i); });
+  release.count_down();
+  pool.wait_idle();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(ThreadPool, NestedSubmissionFromWorkerThreads) {
@@ -85,6 +105,29 @@ TEST(ThreadPool, DestructorDrainsPendingWork) {
   EXPECT_EQ(executed.load(), 40);
 }
 
+TEST(ThreadPool, DefaultThreadsReadsAWholeCountFromTheEnvironment) {
+  std::optional<std::string> saved;
+  if (const char* env = std::getenv("MEMPOOL_THREADS")) saved = env;
+  setenv("MEMPOOL_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::default_threads(), 3u);
+  for (const char* bad : {"4abc", "-1", "", "4294967296"}) {
+    setenv("MEMPOOL_THREADS", bad, 1);
+    try {
+      (void)ThreadPool::default_threads();
+      ADD_FAILURE() << "MEMPOOL_THREADS='" << bad << "' was accepted";
+    } catch (const mempool::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("MEMPOOL_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  if (saved) {
+    setenv("MEMPOOL_THREADS", saved->c_str(), 1);
+  } else {
+    unsetenv("MEMPOOL_THREADS");
+  }
+}
+
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
@@ -132,12 +175,12 @@ TEST(RunIndexed, ReportsCompletionCallbackPerItem) {
   EXPECT_EQ(seen.size(), 25u);
 }
 
-// --- idle behavior: bounded spin, then park ---------------------------------
+// --- idle behavior: park when there is nothing to do ------------------------
 
 namespace {
 
 /// Wait up to ~2 s for @p pred to become true (idle-transition tests: the
-/// spin budgets are microseconds, so this is generous, not racy).
+/// gang's spin budget is microseconds, so this is generous, not racy).
 template <typename Pred>
 bool eventually(Pred pred) {
   for (int i = 0; i < 2000; ++i) {
@@ -150,9 +193,9 @@ bool eventually(Pred pred) {
 }  // namespace
 
 TEST(ThreadPoolIdle, WorkersParkAfterBoundedSpin) {
-  // Satellite contract: an idle pool must not burn its cores. After the
-  // queue drains, every worker runs out of its bounded spin and parks on the
-  // condition variable; a later submit wakes them back up.
+  // An idle pool must not burn its cores: once the queue drains, every
+  // worker parks on the condition variable, and a later submit wakes them
+  // back up.
   ThreadPool pool(4);
   for (int i = 0; i < 16; ++i) pool.submit([] {});
   pool.wait_idle();

@@ -3,11 +3,12 @@
 // global operator new form with a counting one, so the check sees every heap
 // allocation, not just the ones a particular allocator reports.
 //
-// The sequential engines only: sharded helper threads are new for each
-// System, and which lane a thread evaluates depends on the schedule, so
-// per-thread scratch growth there is not reproducible run to run. TopX is
-// left out too: its unbounded ideal bank queues grow by doubling in every
-// new cluster (that policy is pinned in test_sim_buffer.cpp).
+// The sharded engine runs with one sim thread, so its lanes step inline on
+// the test thread: helper threads would be new for each System, and which
+// lane a thread evaluates depends on the schedule, so per-thread scratch
+// growth there is not reproducible run to run. TopX is left out: its
+// unbounded ideal bank queues grow by doubling in every new cluster (that
+// policy is pinned in test_sim_buffer.cpp).
 
 #include <gtest/gtest.h>
 
@@ -110,7 +111,7 @@ uint64_t allocations_after_warmup(const std::string& topology,
   const ClusterConfig cfg = ClusterConfig::mini(topology, true);
   const kernels::KernelProgram kp = kernels::build_matmul(cfg, 16);
   System sys(cfg);
-  sys.configure_engine(mode);
+  sys.configure_engine(mode, /*sim_threads=*/1);
   sys.load_program(kp.image);
   kp.init(sys);
   EXPECT_FALSE(sys.run(kWarmupCycles).all_halted)
@@ -154,7 +155,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"Top4", EngineMode::kActive},
                       Case{"Top4", EngineMode::kDense},
                       Case{"TopH", EngineMode::kActive},
-                      Case{"TopH", EngineMode::kDense}),
+                      Case{"TopH", EngineMode::kDense},
+                      Case{"TopH", EngineMode::kSharded}),
     [](const ::testing::TestParamInfo<Case>& tpinfo) {
       return std::string(tpinfo.param.topology) + "_" +
              engine_mode_name(tpinfo.param.mode);

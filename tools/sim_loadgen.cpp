@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "core/cluster_config.hpp"
 #include "serve/client.hpp"
@@ -350,28 +351,37 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](auto* out) {
+      const std::string v = value();
+      if (!mempool::parse_number(v, out)) {
+        std::fprintf(stderr,
+                     "error: %s wants a non-negative number, got '%s'\n",
+                     arg.c_str(), v.c_str());
+        std::exit(2);
+      }
+    };
     if (arg == "--socket") {
       opt.socket_path = value();
     } else if (arg == "--requests") {
-      opt.requests = std::stoull(value());
+      number(&opt.requests);
     } else if (arg == "--unique") {
-      opt.unique = std::stoull(value());
+      number(&opt.unique);
     } else if (arg == "--window") {
-      opt.window = std::stoull(value());
+      number(&opt.window);
     } else if (arg == "--coalesce") {
-      opt.coalesce = std::stoull(value());
+      number(&opt.coalesce);
     } else if (arg == "--topology") {
       opt.topology = value();
     } else if (arg == "--engine") {
       opt.engine = value();
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(value());
+      number(&opt.seed);
     } else if (arg == "--verify") {
       opt.verify = true;
     } else if (arg == "--min-hit-rate") {
-      opt.min_hit_rate = std::stod(value());
+      number(&opt.min_hit_rate);
     } else if (arg == "--wait") {
-      opt.wait_ms = std::stoi(value());
+      number(&opt.wait_ms);
     } else if (arg == "--shutdown") {
       opt.shutdown = true;
     } else if (arg == "--json") {
@@ -383,11 +393,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       opt.cache_dir = value();
     } else if (arg == "--kills") {
-      opt.kills = std::stoull(value());
+      number(&opt.kills);
     } else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every = std::stoull(value());
+      number(&opt.checkpoint_every);
     } else if (arg == "--slow-cycles") {
-      opt.slow_cycles = std::stoull(value());
+      number(&opt.slow_cycles);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -75,20 +76,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](auto* out) {
+      const std::string v = value();
+      if (!mempool::parse_number(v, out)) {
+        std::fprintf(stderr,
+                     "error: %s wants a non-negative integer, got '%s'\n",
+                     arg.c_str(), v.c_str());
+        std::exit(2);
+      }
+    };
     if (arg == "--socket") {
       cfg.socket_path = value();
     } else if (arg == "--threads") {
-      cfg.service.threads = static_cast<unsigned>(std::stoul(value()));
+      number(&cfg.service.threads);
     } else if (arg == "--cache-capacity") {
-      cfg.service.cache_capacity = std::stoull(value());
+      number(&cfg.service.cache_capacity);
     } else if (arg == "--cache-dir") {
       cfg.service.cache_dir = value();
     } else if (arg == "--max-queue") {
-      cfg.service.max_queue = std::stoull(value());
+      number(&cfg.service.max_queue);
     } else if (arg == "--retry-after-ms") {
-      cfg.service.retry_after_ms = static_cast<int>(std::stoul(value()));
+      number(&cfg.service.retry_after_ms);
     } else if (arg == "--checkpoint-every") {
-      cfg.service.checkpoint_every = std::stoull(value());
+      number(&cfg.service.checkpoint_every);
     } else if (arg == "--quiet") {
       cfg.log = false;
     } else if (arg == "--help" || arg == "-h") {

@@ -1,25 +1,28 @@
-// Simulator performance microbenchmark (not a paper artifact): simulated
-// cycles per wall-clock second for representative workloads. Useful when
-// tuning the model or reviewing performance regressions.
-//
-// Besides the Google-Benchmark suite, `--speedup_json=PATH` runs a direct
+// Simulator performance microbenchmark (not a paper artifact): a direct
 // engine comparison — dense vs activity-driven, plus the sharded engine
-// across a sim-threads axis (1/2/4/8) on the group-sharded topologies — and
-// writes a mempool.speedup.v3 JSON artifact (uploaded per-PR by CI so
-// scheduler regressions are visible); add `--speedup_only` to skip the
-// benchmark suite. v3 adds absolute simulated cycles/sec per point and a
-// `paper_point` block (the 256-core TopH λ=0.05 fig5 point: active-engine
-// cycles/sec, cycles/sec/shard, and the sharded single-thread rate).
-// `--speedup_baseline=PATH` reads a committed v3 artifact
-// (runner::speedup_from_json) and exits non-zero when the measured
-// dense-to-active aggregate regressed more than 20% below it, or — against
-// a baseline recorded on a comparable host — when the paper point's
-// absolute cycles/sec dropped more than 20%. Sharded wall-clock numbers are
-// recorded for whatever parallelism the host actually has (host_cpus in the
-// artifact). `--profile` runs the paper point under each engine with
-// Engine::set_profile and prints the per-phase wall-clock breakdown.
-
-#include <benchmark/benchmark.h>
+// across a sim-threads axis (1/2/4/8) on the group-sharded topologies — on
+// the low-load half of the fig5 sweep and the zero-load probe sweep. Useful
+// when tuning the model or reviewing performance regressions.
+//
+// With no arguments it runs that speedup pass and prints its table.
+// `--speedup_json=PATH` also writes a mempool.speedup.v3 JSON artifact
+// (uploaded per-PR by CI so scheduler regressions are visible): absolute
+// simulated cycles/sec per point and a `paper_point` block (the 256-core TopH
+// λ=0.05 fig5 point: active-engine cycles/sec, cycles/sec/shard, and the
+// sharded single-thread rate). `--speedup_baseline=PATH` reads a committed v3
+// artifact (runner::speedup_from_json) and exits non-zero when the measured
+// dense-to-active aggregate regressed more than 20% below it, or — against a
+// baseline recorded on a comparable host — when the paper point's absolute
+// cycles/sec dropped more than 20%. Sharded wall-clock numbers are recorded
+// for whatever parallelism the host actually has (host_cpus in the
+// artifact). `--profile` instead runs the paper point under each engine with
+// Engine::set_profile and prints the per-phase wall-clock breakdown (combine
+// it with either speedup flag to run both).
+//
+// Other throughput questions have their own tools: heavy-load and Snitch
+// kernel speed are mempool_bench's traffic_heavy and kernels workloads, and
+// sweep-runner scaling is fig5_topology_sweep's `wall_seconds` at
+// `--threads 1` vs `--threads 4`.
 
 #include <algorithm>
 #include <chrono>
@@ -33,13 +36,10 @@
 #include "common/check.hpp"
 #include "common/json.hpp"
 #include "core/cluster.hpp"
-#include "core/system.hpp"
 #include "mem/imem.hpp"
-#include "isa/text_asm.hpp"
 #include "noc/fabric.hpp"
 #include "noc/monitor.hpp"
 #include "runner/results.hpp"
-#include "runner/runner.hpp"
 #include "runner/shard_gang.hpp"
 #include "sim/engine.hpp"
 #include "traffic/experiment.hpp"
@@ -50,104 +50,13 @@ using namespace mempool;
 
 namespace {
 
-/// Parallel sweep throughput: the fig5-style grid sharded over N workers.
-/// Compare Threads:1 against higher counts to see the runner's scaling on
-/// this host.
-void BM_ParallelSweep(benchmark::State& state) {
-  runner::SweepSpec spec;
-  spec.base.cluster = ClusterConfig::paper("TopH", false);
-  spec.base.warmup_cycles = 100;
-  spec.base.measure_cycles = 500;
-  spec.base.drain_cycles = 100;
-  spec.topologies = {"Top1", "Top4", "TopH"};
-  spec.lambdas = {0.05, 0.15, 0.25, 0.35};
-  runner::RunnerOptions opts;
-  opts.threads = static_cast<unsigned>(state.range(0));
-  uint64_t points = 0;
-  for (auto _ : state) {
-    const runner::SweepResult res = runner::run_sweep(spec, opts);
-    benchmark::DoNotOptimize(res.points.data());
-    points += res.points.size();
-  }
-  state.counters["points/s"] = benchmark::Counter(
-      static_cast<double>(points), benchmark::Counter::kIsRate);
-}
-
-/// Topologies BM_TrafficCycles indexes with range(0).
-constexpr const char* kTrafficTopologies[] = {"Top1", "TopH"};
-
-/// Traffic-point throughput per engine mode; range(0) indexes
-/// kTrafficTopologies and range(2) selects dense (1) or activity-driven (0)
-/// so the two schedulers appear side by side in the benchmark table.
-void BM_TrafficCycles(benchmark::State& state) {
-  const char* topo = kTrafficTopologies[state.range(0)];
-  state.SetLabel(topo);
-  TrafficExperimentConfig e;
-  e.cluster = ClusterConfig::paper(topo, false);
-  e.lambda = 0.2;
-  e.warmup_cycles = 100;
-  e.measure_cycles = static_cast<uint64_t>(state.range(1));
-  e.drain_cycles = 0;
-  e.engine = state.range(2) != 0 ? EngineMode::kDense : EngineMode::kActive;
-  uint64_t cycles = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_traffic_point(e));
-    cycles += e.warmup_cycles + e.measure_cycles;
-  }
-  state.counters["sim_cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-
-/// The zero-load regime the activity-driven scheduler targets: λ = 0.02 on
-/// the full paper cluster, mostly-idle fabric.
-void BM_LowLoadCycles(benchmark::State& state) {
-  TrafficExperimentConfig e;
-  e.cluster = ClusterConfig::paper("TopH", false);
-  e.lambda = 0.02;
-  e.warmup_cycles = 100;
-  e.measure_cycles = 2000;
-  e.drain_cycles = 500;
-  e.engine = state.range(0) != 0 ? EngineMode::kDense : EngineMode::kActive;
-  uint64_t cycles = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_traffic_point(e));
-    cycles += e.warmup_cycles + e.measure_cycles + e.drain_cycles;
-  }
-  state.counters["sim_cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-
-void BM_ExecutionCycles(benchmark::State& state) {
-  // 256 Snitch cores spinning on an arithmetic loop.
-  const ClusterConfig cfg = ClusterConfig::paper("TopH", true);
-  const std::string src = R"(
-    _start:
-      li t0, 100000
-    loop:
-      addi t0, t0, -1
-      bnez t0, loop
-      li t1, 0xC0000000
-      sw zero, 0(t1)
-  )";
-  uint64_t cycles = 0;
-  for (auto _ : state) {
-    System sys(cfg);
-    sys.load_program(isa::assemble_text(src));
-    const auto r = sys.run(static_cast<uint64_t>(state.range(0)));
-    cycles += r.cycles;
-  }
-  state.counters["sim_cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-
 // --- dense-vs-active speedup artifact ---------------------------------------
 
 double time_point_seconds(const TrafficExperimentConfig& cfg, int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    TrafficPoint p = run_traffic_point(cfg);
-    benchmark::DoNotOptimize(&p);
+    run_traffic_point(cfg);
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     best = std::min(best, dt.count());
@@ -470,58 +379,29 @@ void run_profile() {
 
 }  // namespace
 
-BENCHMARK(BM_TrafficCycles)
-    ->Args({0, 2000, 0})
-    ->Args({0, 2000, 1})
-    ->Args({1, 2000, 0})
-    ->Args({1, 2000, 1})
-    ->Iterations(3)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LowLoadCycles)->Arg(0)->Arg(1)->Iterations(3)->Unit(
-    benchmark::kMillisecond);
-BENCHMARK(BM_ExecutionCycles)->Arg(5000)->Iterations(3)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ParallelSweep)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 int main(int argc, char** argv) {
   std::string speedup_json;
   std::string speedup_baseline;
-  bool run_speedup_pass = false;
-  bool speedup_only = false;
   bool profile = false;
-  int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--speedup_json=", 15) == 0) {
       speedup_json = argv[i] + 15;
-      run_speedup_pass = true;
     } else if (std::strncmp(argv[i], "--speedup_baseline=", 19) == 0) {
       speedup_baseline = argv[i] + 19;
-      run_speedup_pass = true;
-    } else if (std::strcmp(argv[i], "--speedup") == 0) {
-      run_speedup_pass = true;
-    } else if (std::strcmp(argv[i], "--speedup_only") == 0) {
-      run_speedup_pass = true;
-      speedup_only = true;
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       profile = true;
     } else {
-      argv[out++] = argv[i];
+      std::fprintf(stderr,
+                   "micro_sim_speed: unknown argument '%s'\n"
+                   "usage: micro_sim_speed [--speedup_json=PATH] "
+                   "[--speedup_baseline=PATH] [--profile]\n",
+                   argv[i]);
+      return 2;
     }
   }
-  argc = out;
-
-  int rc = 0;
-  if (profile) run_profile();
-  if (run_speedup_pass) rc = run_speedup(speedup_json, speedup_baseline);
-  if (!speedup_only && !profile) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+  if (profile) {
+    run_profile();
+    if (speedup_json.empty() && speedup_baseline.empty()) return 0;
   }
-  return rc;
+  return run_speedup(speedup_json, speedup_baseline);
 }

@@ -228,6 +228,15 @@ void SimRequest::validate() const {
   MEMPOOL_CHECK_MSG(config.measure_cycles >= 1,
                     "measure_cycles must be >= 1 (an empty measure window "
                     "has no defined throughput)");
+  // The point runs warmup + measure + drain cycles as one uint64 count; a
+  // sum that wraps would simulate a few cycles and report zeros.
+  MEMPOOL_CHECK_MSG(
+      config.measure_cycles <= UINT64_MAX - config.warmup_cycles &&
+          config.drain_cycles <=
+              UINT64_MAX - config.warmup_cycles - config.measure_cycles,
+      "warmup_cycles + measure_cycles + drain_cycles ("
+          << config.warmup_cycles << " + " << config.measure_cycles << " + "
+          << config.drain_cycles << ") must not exceed " << UINT64_MAX);
   MEMPOOL_CHECK_MSG(config.sim_threads >= 1, "sim_threads must be >= 1");
 }
 

@@ -88,8 +88,8 @@ struct SimRequest {
 
   /// Throws CheckError when the point cannot be simulated: invalid cluster
   /// geometry / plugin params (ClusterConfig::validate), non-finite or
-  /// negative λ, p_local outside [0,1], an empty measure window, or zero
-  /// sim_threads.
+  /// negative λ, p_local outside [0,1], an empty measure window, a
+  /// warmup + measure + drain total beyond UINT64_MAX, or zero sim_threads.
   void validate() const;
 
   /// Canonical equality: same point, independent of representation.

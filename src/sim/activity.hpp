@@ -14,6 +14,10 @@
 // A component is put back to sleep by the engine right after an evaluate()
 // in which it reports idle(); invariant: a sleeping component's evaluate()
 // would be a no-op, and only a wake event can change that.
+//
+// The commit phase needs no flag: a clocked element that stages state queues
+// itself in a lane outbox (Clocked::stage_commit), and the commit phase
+// latches exactly what was queued.
 
 #include <cstddef>
 #include <cstdint>
@@ -26,6 +30,7 @@ namespace mempool {
 class GraphVisitor;
 class PacketSink;
 class Wakeable;
+struct ShardLane;
 
 /// Arbitration policy a multi-input component declares for the liveness DRC
 /// (GraphVisitor::arbitration). Round-robin grants every input eventually;
@@ -88,47 +93,30 @@ class Wakeable {
 
 /// Interface for anything clocked by the engine's commit phase.
 ///
-/// Commit scheduling is structure-of-arrays, mirroring Wakeable: each
-/// registered element owns one bit of an engine-owned packed dirty bitset
-/// (bind_commit_slot moves the bit out of the private fallback word at
-/// finalize). An element that stages state marks itself dirty; the commit
-/// phase word-scans the bitset and commits set bits in slot order — commits
-/// of distinct elements are independent (the only shared words, wake flags
-/// and occupancy masks, combine with idempotent ORs), so slot order is
-/// bit-identical to the historical push-order queue, as the dense oracle
-/// (which always committed in registration order) has asserted all along.
+/// An element that stages state calls stage_commit() once per cycle, which
+/// appends it to a lane outbox (ShardLane::outboxes) addressed to its home
+/// lane, the lane whose commit phase latches it. The commit phase then
+/// commits exactly the staged elements, in push order. Commits of distinct
+/// elements are independent (the only shared words, wake flags and occupancy
+/// masks, combine with idempotent ORs), so push order is bit-identical to the
+/// dense oracle's registration order. Both members are defined in
+/// sim/shard.hpp, next to ShardLane.
 class Clocked {
  public:
   virtual ~Clocked() = default;
   virtual void commit() = 0;
 
-  /// Stage notification: set this element's commit-dirty bit (idempotent per
-  /// cycle) and bump the bound pending counter on the first set.
-  void mark_commit_dirty() {
-    if ((*dirty_word_ & dirty_mask_) == 0) {
-      *dirty_word_ |= dirty_mask_;
-      ++*dirty_pending_;
-    }
-  }
-  bool commit_dirty() const { return (*dirty_word_ & dirty_mask_) != 0; }
+  /// Stage notification: append this element to the outbox for its home
+  /// lane — of the evaluating lane during a sharded evaluate phase, else of
+  /// the home lane itself. Before bind_commit_lane the element only
+  /// remembers that it is staged.
+  inline void stage_commit();
 
-  /// Move the dirty bit into engine-owned storage (and the pending counter
-  /// onto the engine's/lane's tally), preserving the current value. @p word
-  /// and @p pending must outlive this element's last mark_commit_dirty().
-  void bind_commit_slot(uint64_t* word, unsigned bit, uint64_t* pending) {
-    const bool was_dirty = commit_dirty();
-    dirty_word_ = word;
-    dirty_mask_ = 1ull << bit;
-    dirty_pending_ = pending;
-    if (was_dirty) {
-      // Pre-finalize staging (an external poke before the first step)
-      // migrates into the engine's accounting.
-      *dirty_word_ |= dirty_mask_;
-      ++*dirty_pending_;
-    } else {
-      *dirty_word_ &= ~dirty_mask_;
-    }
-  }
+  /// Bind the lane whose commit phase latches this element (Engine::finalize).
+  /// An element staged before binding (an external poke before the first
+  /// step) is handed to @p home's own outbox here. @p home must outlive this
+  /// element's last stage_commit().
+  inline void bind_commit_lane(ShardLane* home);
 
   /// Sharded engine: refresh producer-visible state at the commit barrier.
   /// Called (on the consumer shard's thread, between the cycle's barriers)
@@ -157,11 +145,8 @@ class Clocked {
   virtual LivenessState liveness() const { return {}; }
 
  private:
-  uint64_t own_dirty_ = 0;  ///< Fallback dirty word before bind_commit_slot.
-  uint64_t own_pending_ = 0;
-  uint64_t* dirty_word_ = &own_dirty_;
-  uint64_t dirty_mask_ = 1;
-  uint64_t* dirty_pending_ = &own_pending_;
+  ShardLane* home_ = nullptr;  ///< Null until bind_commit_lane.
+  bool staged_unbound_ = false;  ///< stage_commit() ran before binding.
 };
 
 /// What an elastic buffer reports about itself to the design-rule checker

@@ -16,7 +16,7 @@ class StateSource;
 /// A synchronously evaluated hardware block. The engine calls evaluate() on
 /// every *active* component once per cycle, in the topological order
 /// established by the cluster builder (response fabric -> clients -> request
-/// fabric -> banks), then commits the dirty buffers. In dense mode every
+/// fabric -> banks), then commits the staged buffers. In dense mode every
 /// component is evaluated every cycle regardless of activity; both modes are
 /// cycle-for-cycle identical because an idle component's evaluate() is a
 /// no-op by contract.

@@ -29,11 +29,10 @@
 // Activity plumbing: the component that owns this buffer as an input sets
 // itself as the consumer; pushes (combinational) and commits (registered)
 // wake it so the activity-driven engine evaluates it exactly when a packet
-// is visible. Registered buffers mark their engine-owned commit-dirty bit
-// when staged (Clocked::mark_commit_dirty), so the commit phase word-scans
-// a packed bitset and only touches dirty buffers. An optional occupancy bit
-// mirrors "holds a visible item" into a switch-owned mask for sparse input
-// scans.
+// is visible. A registered push queues the buffer in a lane outbox
+// (Clocked::stage_commit), so the commit phase touches only buffers that
+// staged something. An optional occupancy bit mirrors "holds a visible item"
+// into a switch-owned mask for sparse input scans.
 
 #include <array>
 #include <cstddef>
@@ -185,19 +184,7 @@ class ElasticBuffer final : public Clocked {
       MEMPOOL_CHECK(!staged_valid_);
       staged_ = v;
       staged_valid_ = true;
-      ShardLane* lane = current_shard_lane();
-      if (lane != nullptr && boundary_ && consumer_shard_ != lane->id) {
-        // Sharded evaluate phase, push crossing the boundary: hand the buffer
-        // to the consumer shard through the producer lane's outbox (the
-        // consumer's commit phase commits it). Marking the dirty bit instead
-        // would write the consumer shard's bitset segment mid-evaluate — a
-        // data race with that shard's own staging.
-        lane->push_cross(consumer_shard_, this);
-      } else {
-        // Same-shard (or sequential) staging: this buffer's dirty bit lives
-        // in the evaluating shard's (or the global) segment.
-        mark_commit_dirty();
-      }
+      stage_commit();
     } else {
       enqueue(v);
       *occ_word_ |= occ_mask_;

@@ -80,27 +80,6 @@ bool scan_lane(ShardLane& lane, uint64_t* words, uint64_t cycle, bool dense,
   return evaluations != 0;
 }
 
-/// Commit the clocked elements behind set dirty bits of words
-/// [@p begin, @p end), in ascending slot order (bit-identical to the
-/// historical push-order queue — see Clocked's class comment). Each word is
-/// cleared before its bits are walked; commit() never re-marks, so the
-/// bitset is clean afterwards. Returns the number of commits.
-uint64_t commit_scan(uint64_t* words, std::size_t begin, std::size_t end,
-                     Clocked* const* slots) {
-  uint64_t n = 0;
-  for (std::size_t w = begin; w < end; ++w) {
-    uint64_t m = words[w];
-    if (m == 0) continue;
-    words[w] = 0;
-    do {
-      const unsigned b = std::countr_zero(m);
-      m &= m - 1;
-      slots[(w - begin) * 64 + b]->commit();
-      ++n;
-    } while (m != 0);
-  }
-  return n;
-}
 }  // namespace
 
 const char* engine_mode_name(EngineMode m) {
@@ -203,9 +182,7 @@ void Engine::finalize() {
   // packed wake bitset (8 words = one 64-byte line), so no two lane threads
   // ever store to the same line, plus a slot table mapping its flag bits back
   // to components in registration order — the sequential engine's
-  // evaluation order restricted to the lane. The commit-dirty bitset is
-  // segmented the same way, and every element's dirty bit is rebound into
-  // its lane's segment with the lane's pending counter as the tally.
+  // evaluation order restricted to the lane.
   constexpr std::size_t kWordsPerLine = 8;
   auto line_words = [](std::size_t bits) {
     const std::size_t words = (bits + 63u) / 64u;
@@ -214,9 +191,7 @@ void Engine::finalize() {
   lanes_.clear();
   lanes_.resize(S);
   for (uint32_t shard : component_shard_) ++lane_of(shard).num_slots;
-  for (uint32_t shard : clocked_shard_) ++lane_of(shard).num_cslots;
   std::size_t word = 0;
-  std::size_t dword = 0;
   for (uint32_t s = 0; s < S; ++s) {
     ShardLane& lane = lanes_[s];
     lane.id = s;
@@ -224,13 +199,8 @@ void Engine::finalize() {
     word += line_words(lane.num_slots);
     lane.word_end = static_cast<uint32_t>(word);
     lane.slots.assign((lane.word_end - lane.word_begin) * 64u, nullptr);
-    lane.dirty_begin = static_cast<uint32_t>(dword);
-    dword += line_words(lane.num_cslots);
-    lane.dirty_end = static_cast<uint32_t>(dword);
-    lane.cslots.assign((lane.dirty_end - lane.dirty_begin) * 64u, nullptr);
   }
   flags_.assign(word, 0);
-  dirty_.assign(dword, 0);
   std::vector<std::size_t> next(S, 0);
   for (std::size_t i = 0; i < components_.size(); ++i) {
     ShardLane& lane = lane_of(component_shard_[i]);
@@ -239,28 +209,23 @@ void Engine::finalize() {
     components_[i]->bind_activity_slot(&flags_[lane.word_begin + k / 64],
                                        static_cast<unsigned>(k % 64));
   }
-  std::fill(next.begin(), next.end(), 0);
-  for (std::size_t i = 0; i < clocked_.size(); ++i) {
-    ShardLane& lane = lane_of(clocked_shard_[i]);
-    const std::size_t k = next[lane.id]++;
-    lane.cslots[k] = clocked_[i];
-    clocked_[i]->bind_commit_slot(&dirty_[lane.dirty_begin + k / 64],
-                                  static_cast<unsigned>(k % 64),
-                                  &lane.dirty_pending);
-  }
-  if (!sharded()) return;
 
-  // Cross-shard outbox sizing. A registered buffer stages at most one item
-  // per cycle (a second same-cycle push is a model error), so the number of
-  // declared shard-boundary buffers consumed by shard d bounds how many
-  // handoffs ANY producer shard can stage toward d in one cycle, and how
-  // many boundary buffers shard d can drain — the D4 boundary registry
-  // doubles as an exact worst-case depth. While walking, validate that each
-  // boundary buffer was registered to the shard its declaration names as
-  // consumer: the commit phase latches into consumer-shard state, so a
-  // mismatch would be a data race.
+  // Outbox sizing. An element stages at most once per cycle (a registered
+  // buffer's second same-cycle push is a model error), so a lane's own
+  // outbox never holds more than the lane's element count. Only shard-
+  // boundary buffers are pushed from another lane, so the number of declared
+  // boundary buffers consumed by shard d bounds how many hand-offs ANY
+  // producer lane can stage toward d in one cycle, and how many boundary
+  // buffers shard d can drain — the D4 boundary registry doubles as an exact
+  // worst-case depth. While walking, validate that each boundary buffer was
+  // registered to the shard its declaration names as consumer: the commit
+  // phase latches into consumer-shard state, so a mismatch would be a data
+  // race.
+  std::vector<std::size_t> own_count(S, 0);
   std::vector<std::size_t> boundary_count(S, 0);
   for (std::size_t i = 0; i < clocked_.size(); ++i) {
+    ++own_count[lane_of(clocked_shard_[i]).id];
+    if (!sharded()) continue;
     BoundaryScan scan;
     clocked_[i]->describe(scan);
     if (!scan.seen || !scan.decl.shard_boundary) continue;
@@ -275,9 +240,15 @@ void Engine::finalize() {
   for (ShardLane& lane : lanes_) {
     lane.outboxes.resize(S);
     for (uint32_t d = 0; d < S; ++d) {
-      lane.outboxes[d].reserve(boundary_count[d]);
+      lane.outboxes[d].reserve(d == lane.id ? own_count[d]
+                                            : boundary_count[d]);
     }
     lane.drained.reserve(boundary_count[lane.id]);
+  }
+  // Bind after reserving: a push staged before the first step is handed to
+  // its home lane's own outbox here.
+  for (std::size_t i = 0; i < clocked_.size(); ++i) {
+    clocked_[i]->bind_commit_lane(&lane_of(clocked_shard_[i]));
   }
 }
 
@@ -299,29 +270,27 @@ void Engine::lane_evaluate(std::size_t s) {
 void Engine::lane_commit(std::size_t d) {
   ShardLane& lane = lanes_[d];
   const uint64_t t0 = profile_ ? prof_now_ns() : 0;
-  // Latch this lane's own dirty segment first (slot order), then the
-  // outboxes addressed to it in ascending producer-shard order. All commits
-  // touch only consumer-shard state (storage/occupancy/wake of shard d), so
-  // the commit phase is itself parallel across shards; the fixed order is
-  // for determinism only (and even that is belt-and-braces: distinct
-  // buffers commute).
-  if (dense_) {
-    set_low_bits(dirty_.data() + lane.dirty_begin, lane.num_cslots);
-    lane.dirty_pending = lane.num_cslots;
-  }
+  // Commit the outboxes addressed to this lane in ascending producer-lane
+  // order, its own included. All commits touch only consumer-shard state
+  // (storage/occupancy/wake of shard d), so the commit phase is itself
+  // parallel across shards; the fixed order is for determinism only (and
+  // even that is belt-and-braces: distinct buffers commute).
   uint64_t n = 0;
-  if (lane.dirty_pending != 0) {
-    n += commit_scan(dirty_.data(), lane.dirty_begin, lane.dirty_end,
-                     lane.cslots.data());
-    lane.dirty_pending = 0;
+  if (dense_) {
+    // One lane holding everything: commit every element in registration
+    // order, which covers whatever was staged.
+    for (Clocked* c : clocked_) c->commit();
+    n = clocked_.size();
+    lane.outboxes[d].clear();
+  } else {
+    for (ShardLane& from : lanes_) {
+      std::vector<Clocked*>& box = from.outboxes[d];
+      for (Clocked* c : box) c->commit();
+      n += box.size();
+      box.clear();
+    }
   }
   const uint64_t t1 = profile_ ? prof_now_ns() : 0;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    std::vector<Clocked*>& box = lanes_[s].outboxes[d];
-    for (Clocked* c : box) c->commit();
-    n += box.size();
-    box.clear();
-  }
   // Refresh the producer-visible snapshots of every boundary buffer this
   // shard drained: producers judge next cycle's backpressure against the
   // post-commit state, as they would under the sequential engine.
@@ -346,9 +315,9 @@ bool Engine::step_work() {
   const uint64_t t0 = profile_ ? prof_now_ns() : 0;
   // Engine-level timers fire on the leader before the lanes are released:
   // their wakes may target any lane, which is only safe single-threaded.
-  // External pushes between steps land directly in the consumer lane's
-  // dirty segment (the leader is the only thread running), so there is no
-  // separate engine-global drain.
+  // External pushes between steps land directly in the consumer lane's own
+  // outbox (the leader is the only thread running), so there is no separate
+  // engine-global drain.
   timers_.fire(cycle_);
   const uint64_t te = profile_ ? prof_now_ns() : 0;
 

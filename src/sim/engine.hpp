@@ -20,25 +20,25 @@
 // A component that reports idle() after evaluating is put to sleep until one
 // of those events re-arms it. The wake flags live in one contiguous
 // engine-owned array, so the per-cycle scan is a word-wise sweep that skips
-// 64 sleeping components per load, and the commit phase word-scans a packed
-// dirty bitset the same way. When a step finds no awake component and
-// nothing staged, the cluster cannot wake itself before the next timer (or
-// ever, if none is armed), so run() fast-forwards the dead cycles and
-// run_until_idle() returns.
+// 64 sleeping components per load; the commit phase latches only the
+// elements queued in the lane outboxes by their staged pushes. When a step
+// finds no awake component and nothing staged, the cluster cannot wake
+// itself before the next timer (or ever, if none is armed), so run()
+// fast-forwards the dead cycles.
 //
 // One cycle loop serves every mode; the modes differ only in how the
 // components are split into lanes (sim/shard.hpp) and in one flag:
 //   * active (default): one lane holding every component, stepped on the
 //     calling thread.
 //   * dense (set_dense(true), --engine dense): the same lane, with every wake
-//     bit set before the scan and every dirty bit before the commit scan —
-//     evaluate everything, commit everything, each cycle. Kept as the
-//     equivalence oracle: both modes are cycle-for-cycle bit-identical
-//     (tests/test_sim_equivalence) because an idle component's evaluate() is
-//     a no-op by contract, and wake events strictly precede the evaluation
-//     that observes them thanks to the topological order (all combinational
-//     edges point forward; backward edges are registered and wake at the
-//     commit edge for the next cycle).
+//     bit set before the scan and every clocked element committed in
+//     registration order — evaluate everything, commit everything, each
+//     cycle. Kept as the equivalence oracle: both modes are cycle-for-cycle
+//     bit-identical (tests/test_sim_equivalence) because an idle component's
+//     evaluate() is a no-op by contract, and wake events strictly precede the
+//     evaluation that observes them thanks to the topological order (all
+//     combinational edges point forward; backward edges are registered and
+//     wake at the commit edge for the next cycle).
 //   * sharded (set_sharded, --engine sharded): one lane per fabric shard,
 //     evaluated concurrently and latched at a per-cycle commit barrier — see
 //     sim/shard.hpp for the structure and the determinism argument. Results
@@ -84,8 +84,8 @@ class Engine {
   Engine();
   ~Engine();
 
-  // Buffers and components keep raw pointers to the engine's dirty/flag
-  // bitsets, so the engine must stay put once wired.
+  // Components keep raw pointers into the engine's wake bitset and clocked
+  // elements into its lanes, so the engine must stay put once wired.
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -109,10 +109,8 @@ class Engine {
   /// Register a clocked element for the commit phase. @p shard is the shard
   /// whose commit phase latches the element under set_sharded() — for an
   /// elastic buffer, the shard of its *consumer* (commits publish into
-  /// consumer-side state). finalize() packs all registered elements into a
-  /// commit-dirty bitset (segmented per lane, like the wake flags) and binds
-  /// each element's dirty bit into it; until then staged pushes fall back to
-  /// the element's private word, which bind_commit_slot migrates.
+  /// consumer-side state). finalize() binds each element to that lane
+  /// (Clocked::bind_commit_lane), which hands over a push staged before it.
   void add_clocked(Clocked* c, uint32_t shard = 0) {
     MEMPOOL_CHECK_MSG(!finalized_, "add_clocked after the first step");
     MEMPOOL_CHECK_MSG(clocked_set_.insert(c).second,
@@ -200,53 +198,11 @@ class Engine {
     }
   }
 
-  /// Advance until the cluster is quiescent or @p max_cycles elapsed;
-  /// returns the number of cycles advanced. Unless dense, dead stretches
-  /// while only a timed wake is pending are fast-forwarded just like run();
-  /// dense mode steps every cycle.
-  uint64_t run_until_idle(uint64_t max_cycles) {
-    uint64_t advanced = 0;
-    while (advanced < max_cycles && !quiescent()) {
-      const uint64_t before = cycle_;
-      if (!step_work() && !dense_) {
-        // Nothing awake and nothing staged, yet not quiescent: a timed wake
-        // is armed — skip straight to it (bounded by the cycle budget and by
-        // the next watchdog probe, which must not be jumped over).
-        const uint64_t next = std::min(
-            next_timer_at_most(before + (max_cycles - advanced)),
-            watch_probe_at_);
-        if (next > cycle_) {
-          idle_cycles_skipped_ += next - cycle_;
-          cycle_ = next;
-        }
-      }
-      advanced += cycle_ - before;
-    }
-    return advanced;
-  }
-
-  /// True when no component has pending work, nothing awaits commit, and no
-  /// timer is armed — i.e. no future cycle can differ from this one (absent
-  /// external pokes).
-  bool quiescent() const {
-    if (timers_.armed() != 0) return false;
-    for (const ShardLane& lane : lanes_) {
-      if (lane.timers.armed() != 0 || lane.dirty_pending != 0) return false;
-    }
-    for (const Component* c : components_) {
-      // Activity invariant: a sleeping component is idle by construction, so
-      // only awake components need the (virtual) idle() check. Dense mode
-      // never clears wake flags and always takes the idle() path.
-      if (c->awake() && !c->idle()) return false;
-    }
-    return true;
-  }
-
   // --- checkpoint/restore (sim/snapshot.cpp) ---------------------------------
   /// Capture the full simulation state at the current (quiesced) cycle
   /// boundary into @p snap: engine counters plus one section per registered
   /// component, in registration order. Must be called between steps — a
-  /// non-empty commit-dirty set fails the quiescence check.
+  /// non-empty outbox fails the quiescence check.
   void save_state(Snapshot* snap) const;
   /// Restore a save_state() capture into a freshly built engine/cluster of
   /// the same configuration. Sets the cycle counter and hands every
@@ -287,9 +243,9 @@ class Engine {
   // --- per-phase profiling (micro_sim_speed --profile) -----------------------
   /// Wall-clock nanoseconds attributed to each phase of the cycle loop while
   /// set_profile(true): evaluate = timer firing + active-set scans, commit =
-  /// commit-dirty bitset scans, drain = cross-shard outbox commits + boundary
-  /// snapshot refreshes (sharded only), barrier = dispatch/join overhead of
-  /// the parallel phases (phase wall time minus the busiest lane's work).
+  /// outbox commits, drain = boundary snapshot refreshes (sharded only),
+  /// barrier = dispatch/join overhead of the parallel phases (phase wall time
+  /// minus the busiest lane's work).
   /// A cycle whose lanes run one after another on the calling thread has no
   /// barrier: its lanes' busy times add up to the work phases.
   /// Profiling never changes simulation results — it only reads clocks.
@@ -306,8 +262,8 @@ class Engine {
  private:
   /// Lay out the lanes: one per shard under set_sharded, else one holding
   /// everything. Each lane gets a cache-line aligned segment of the packed
-  /// wake and commit-dirty bitsets plus slot tables mapping its bits back to
-  /// components / clocked elements in registration order.
+  /// wake bitset plus a slot table mapping its bits back to components in
+  /// registration order, and its outboxes reserved for a cycle's pushes.
   void finalize();
 
   /// Earliest armed timer cycle, clamped to @p limit. Only called when the
@@ -345,7 +301,6 @@ class Engine {
   std::unordered_set<const Component*> component_set_;  ///< Dup detection.
   std::unordered_set<const Clocked*> clocked_set_;      ///< Dup detection.
   std::vector<uint64_t> flags_;  ///< Packed wake bits, one per component.
-  std::vector<uint64_t> dirty_;  ///< Packed commit-dirty bits, one per clocked.
   std::vector<ShardLane> lanes_;
   /// Timers armed outside any sharded evaluate phase (every timer under the
   /// sequential modes; external pokes under sharded).

@@ -6,35 +6,39 @@
 //   evaluate  each lane fires its own timers and scans its own segment of the
 //             wake bitset, evaluating the awake components in registration
 //             order (restricted to the lane).
-//   commit    each lane scans its own segment of the commit-dirty bitset
-//             (slot order), then commits the outboxes addressed to it in
-//             ascending producer-lane order.
+//   commit    each lane commits and clears the outboxes addressed to it, in
+//             ascending producer-lane order (its own outbox included).
+//
+// Every registered push stages through an outbox (Clocked::stage_commit):
+// lanes_[from].outboxes[home], where home is the lane of the buffer's
+// consumer and from is the evaluating lane during a sharded evaluate phase,
+// else home itself.
 //
 // The sequential modes (active, dense) step one lane that holds every
 // component and clocked element, on the calling thread with no current lane
 // (current_shard_lane() is null): timers armed during evaluation go to the
-// engine's own wheel, every staged push marks the lane's dirty segment, and
+// engine's own wheel, every staged push lands in the lane's own outbox, and
 // shard-boundary buffers refresh their producer-visible snapshot eagerly.
-// Dense only adds a flag that sets every wake bit before the scan and every
-// dirty bit before the commit scan (and skips putting idle components to
-// sleep, since the next cycle wakes them all again).
+// Dense only adds a flag that sets every wake bit before the scan (and skips
+// putting idle components to sleep, since the next cycle wakes them all
+// again) and commits every clocked element in registration order.
 //
 // The sharded mode steps one lane per shard. Shards follow the fabric's
 // *group* boundaries (reported by the FabricTopology plugin): MemPool's
 // hierarchy guarantees that every link crossing a group passes through a
 // registered elastic buffer, so no combinational path — and therefore no
 // intra-cycle effect — ever crosses a shard. Lanes evaluate in parallel, each
-// under a ShardLaneScope; registered pushes whose target buffer lives in
-// another shard go into the producer lane's outbox for that shard (a plain
-// vector per directed shard pair) instead of marking the consumer shard's
-// commit-dirty segment, and pops from a shard-boundary buffer defer the
-// producer-visible occupancy refresh (see ElasticBuffer) to the commit
-// phase. A full barrier (ShardExecutor::run) separates the phases, so an
-// outbox is written only in its producer's evaluate phase and read only in
-// its consumer's commit phase, never both at once. Commits of distinct
-// buffers are independent and the only shared words (wake flags, occupancy
-// masks) are combined with idempotent ORs, so any fixed order is
-// bit-identical to the sequential engine's commits.
+// under a ShardLaneScope; a registered push into a buffer another shard
+// consumes lands in the producer lane's outbox for that shard (a plain
+// vector per directed shard pair), and pops from a shard-boundary buffer
+// defer the producer-visible occupancy refresh (see ElasticBuffer) to the
+// commit phase. A full barrier (ShardExecutor::run) separates the phases, so
+// an outbox is written only in its producer's evaluate phase (or by the
+// leader between steps) and read only in its consumer's commit phase, never
+// both at once. Commits of distinct buffers are independent and the only
+// shared words (wake flags, occupancy masks) are combined with idempotent
+// ORs, so any fixed order is bit-identical to the sequential engine's
+// commits.
 //
 // Determinism is structural, not best-effort: the per-shard evaluation order
 // is the sequential engine's order restricted to the shard, cross-shard
@@ -195,34 +199,22 @@ struct ShardLane {
   uint32_t num_slots = 0;
 
   // --- commit staging --------------------------------------------------------
-  /// Word range [dirty_begin, dirty_end) of the engine's packed commit-dirty
-  /// bitset assigned to this lane (cache-line aligned like the wake
-  /// segments); cslots maps its bits back to clocked elements in
-  /// registration order.
-  uint32_t dirty_begin = 0;
-  uint32_t dirty_end = 0;
-  std::vector<Clocked*> cslots;
-  uint32_t num_cslots = 0;
-  /// Elements marked dirty since the last commit scan (bound as the dirty
-  /// counter of every clocked element registered to this lane). Written by
-  /// this lane's evaluate thread (or the leader between cycles), read by
-  /// this lane's commit phase — never concurrently.
-  uint64_t dirty_pending = 0;
-
-  /// outboxes[d]: shard-boundary buffers this lane staged this cycle for
-  /// consumer lane d. This lane's evaluate phase fills it, lane d's commit
-  /// phase commits and clears it. Reserved at elaboration to the number of
-  /// boundary buffers lane d consumes, which bounds a cycle's pushes, so an
-  /// overflow is a model bug, not backpressure. Empty for the sequential
-  /// modes' lane.
+  /// outboxes[d]: clocked elements this lane staged this cycle for home lane
+  /// d, in push order. This lane's evaluate phase (or the leader between
+  /// steps, for the lane's own outbox) fills it, lane d's commit phase
+  /// commits and clears it. An element stages at most once per cycle, so the
+  /// elaboration-time reserve bounds a cycle's pushes — the own outbox
+  /// (d == id) to the lane's element count, every other one to the number of
+  /// boundary buffers lane d consumes — and an overflow is a model bug, not
+  /// backpressure.
   std::vector<std::vector<Clocked*>> outboxes;
 
-  void push_cross(uint32_t consumer_shard, Clocked* c) {
-    std::vector<Clocked*>& box = outboxes[consumer_shard];
+  void stage(uint32_t home, Clocked* c) {
+    std::vector<Clocked*>& box = outboxes[home];
     MEMPOOL_CHECK_MSG(box.size() < box.capacity(),
-                      "cross-shard outbox " << id << "->" << consumer_shard
-                                            << " overflowed its "
-                                               "elaboration-time capacity");
+                      "commit outbox " << id << "->" << home
+                                       << " overflowed its "
+                                          "elaboration-time capacity");
     box.push_back(c);
   }
 
@@ -240,8 +232,8 @@ struct ShardLane {
   uint64_t commits = 0;
 
   // --- per-cycle profiling busy times (Engine::set_profile only) -------------
-  /// This cycle's wall-clock ns spent in the lane's evaluate phase, commit
-  /// scan, and outbox-commit/snapshot-sync work. Written by the lane's thread,
+  /// This cycle's wall-clock ns spent in the lane's evaluate phase, outbox
+  /// commits, and boundary snapshot refreshes. Written by the lane's thread,
   /// read by the leader after the barrier; untouched when profiling is off.
   uint64_t prof_eval_ns = 0;
   uint64_t prof_commit_ns = 0;
@@ -256,11 +248,29 @@ inline thread_local ShardLane* t_shard_lane = nullptr;
 }  // namespace detail
 
 /// The thread that is currently evaluating a shard (set by the engine around
-/// each parallel phase). ElasticBuffer's hot paths use this to route staged
-/// commits into the evaluating shard's queue/mailboxes without knowing which
-/// engine — or how many concurrently simulating engines — they belong to.
-/// nullptr whenever no sharded evaluation is in flight on this thread.
+/// each parallel phase). Clocked::stage_commit and ElasticBuffer::pop use
+/// this to route staged commits and drains through the evaluating shard's
+/// outboxes and drain list without knowing which engine — or how many
+/// concurrently simulating engines — they belong to. nullptr whenever no
+/// sharded evaluation is in flight on this thread.
 inline ShardLane* current_shard_lane() { return detail::t_shard_lane; }
+
+inline void Clocked::stage_commit() {
+  if (home_ == nullptr) {
+    staged_unbound_ = true;
+    return;
+  }
+  ShardLane* from = current_shard_lane();
+  (from != nullptr ? from : home_)->stage(home_->id, this);
+}
+
+inline void Clocked::bind_commit_lane(ShardLane* home) {
+  home_ = home;
+  if (staged_unbound_) {
+    staged_unbound_ = false;
+    home->stage(home->id, this);
+  }
+}
 
 /// Scoped setter used by the engine; restores the previous value so nested
 /// engines (a sharded simulation inside a sweep worker) cannot leak state.

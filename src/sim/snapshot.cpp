@@ -118,13 +118,13 @@ Snapshot Snapshot::deserialize(std::string_view bytes) {
 
 void Engine::save_state(Snapshot* snap) const {
   for (const ShardLane& lane : lanes_) {
-    MEMPOOL_CHECK_MSG(lane.dirty_pending == 0 && lane.drained.empty(),
+    MEMPOOL_CHECK_MSG(lane.drained.empty(),
                       "checkpoint requires a quiesced cycle boundary "
-                      "(pending commit-dirty elements)");
+                      "(pending boundary snapshot refreshes)");
     for (const std::vector<Clocked*>& box : lane.outboxes) {
       MEMPOOL_CHECK_MSG(box.empty(),
                         "checkpoint requires a quiesced cycle boundary "
-                        "(pending cross-shard hand-offs)");
+                        "(pending staged commits)");
     }
   }
   snap->cycle = cycle_;

@@ -128,6 +128,30 @@ TEST(SimRequest, OverRangeIntegersAreRejectedNamingTheMember) {
             4294967295u);
 }
 
+// warmup + measure + drain is one uint64 cycle count: a total that wraps
+// (here to 1) would simulate one cycle and answer, and cache, zeros.
+TEST(SimRequest, CycleTotalsBeyondUint64AreRejectedNamingTheMembers) {
+  const SimRequest wrapped = parse(
+      R"({"warmup_cycles": 9223372036854775807,)"
+      R"( "measure_cycles": 9223372036854775807, "drain_cycles": 3})");
+  try {
+    wrapped.validate();
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    for (const char* member :
+         {"warmup_cycles", "measure_cycles", "drain_cycles"}) {
+      EXPECT_NE(std::string(e.what()).find(member), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(run_point(wrapped), CheckError);
+  // A total of exactly UINT64_MAX fits.
+  EXPECT_NO_THROW(parse(R"({"warmup_cycles": 9223372036854775807,)"
+                        R"( "measure_cycles": 9223372036854775807,)"
+                        R"( "drain_cycles": 1})")
+                      .validate());
+}
+
 TEST(SimRequest, UnknownPluginAndEngineNamesListTheAlternatives) {
   try {
     parse(R"({"topology": "TopZ"})");

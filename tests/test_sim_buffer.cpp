@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <type_traits>
+#include <vector>
 
 #include "sim/component.hpp"
 #include "sim/elastic_buffer.hpp"
@@ -133,13 +134,14 @@ TEST(ElasticBuffer, RegisteredPushWakesConsumerOnlyAtCommit) {
   Wakeable consumer;
   consumer.sleep();
   b.set_consumer(&consumer);
-  uint64_t word = 0;
-  uint64_t pending = 0;
-  b.bind_commit_slot(&word, 0, &pending);
+  ShardLane lane;
+  lane.outboxes.resize(1);
+  lane.outboxes[0].reserve(1);
+  b.bind_commit_lane(&lane);
   b.push(7);
   EXPECT_FALSE(consumer.awake()) << "staged item is not visible yet";
-  EXPECT_TRUE(b.commit_dirty()) << "staged push marks its dirty bit";
-  EXPECT_EQ(pending, 1u) << "and bumps the bound pending counter once";
+  EXPECT_EQ(lane.outboxes[0], std::vector<Clocked*>{&b})
+      << "staged push lands in its home lane's own outbox exactly once";
   b.commit();
   EXPECT_TRUE(consumer.awake()) << "commit makes the item visible";
   EXPECT_EQ(b.pop(), 7);

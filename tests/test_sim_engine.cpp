@@ -1,10 +1,11 @@
-// Activity-driven scheduler unit tests: wake/sleep mechanics, dirty-list
+// Activity-driven scheduler unit tests: wake/sleep mechanics, staged
 // commits, quiescence fast-forward, and dense-mode equivalence on toy
 // component graphs (cluster-level equivalence lives in
 // test_sim_equivalence.cpp).
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -128,16 +129,6 @@ TEST(Engine, WakeAfterQuiescence) {
   EXPECT_EQ(rig.cons.received[0].first, 51u);
 }
 
-TEST(Engine, RunUntilIdleStopsAtQuiescence) {
-  Rig rig(BufferMode::kRegistered, /*count=*/3, /*start=*/0);
-  const uint64_t stepped = rig.engine.run_until_idle(10'000);
-  EXPECT_LT(stepped, 10u);
-  EXPECT_TRUE(rig.engine.quiescent());
-  EXPECT_EQ(rig.cons.received.size(), 3u);
-  // Once quiescent, further calls are O(1): no extra cycles are stepped.
-  EXPECT_EQ(rig.engine.run_until_idle(10'000), 0u);
-}
-
 /// Arms a timed wake for a fixed cycle, emits one item there, then is done.
 class TimedProducer final : public Component {
  public:
@@ -190,24 +181,6 @@ TEST(Engine, TimedWakeFiresAtTheArmedCycle) {
   EXPECT_GT(engine.idle_cycles_skipped(), 4000u);
 }
 
-TEST(Engine, RunUntilIdleFastForwardsToArmedTimers) {
-  Engine engine;
-  IntBuffer buf(BufferMode::kCombinational, 2);
-  TimedProducer prod("timed", &engine, &buf, 5000);
-  CountingConsumer cons("cons", &buf);
-  buf.set_consumer(&cons);
-  engine.add_component(&prod);
-  engine.add_component(&cons);
-  engine.add_clocked(&buf);
-  const uint64_t advanced = engine.run_until_idle(1'000'000);
-  EXPECT_TRUE(engine.quiescent());
-  ASSERT_EQ(cons.received.size(), 1u);
-  EXPECT_EQ(advanced, engine.cycle());
-  EXPECT_LT(advanced, 5100u) << "must stop shortly after the timed event";
-  EXPECT_GT(engine.idle_cycles_skipped(), 4000u)
-      << "dead cycles before the timer must be skipped, not stepped";
-}
-
 TEST(Engine, DenseModeMatchesActive) {
   Rig active(BufferMode::kRegistered, /*count=*/4, /*start=*/2);
   Rig dense(BufferMode::kRegistered, /*count=*/4, /*start=*/2);
@@ -221,14 +194,39 @@ TEST(Engine, DenseModeMatchesActive) {
   EXPECT_LT(active.engine.evaluations(), 30u);
 }
 
-TEST(Engine, DenseRunUntilIdlePollsIdlePredicates) {
-  Rig rig(BufferMode::kRegistered, /*count=*/2, /*start=*/0);
-  rig.engine.set_dense(true);
-  const uint64_t stepped = rig.engine.run_until_idle(10'000);
-  EXPECT_LT(stepped, 10u);
-  EXPECT_TRUE(rig.engine.quiescent());
-  EXPECT_EQ(rig.cons.received.size(), 2u);
+/// A registered push made before the first step (an external poke) is
+/// handed to the buffer's home lane when the engine binds it at the first
+/// step, and latched at that cycle's commit under every mode.
+class EngineStaging : public ::testing::TestWithParam<EngineMode> {};
+
+TEST_P(EngineStaging, PushBeforeTheFirstStepLatchesAtTheFirstCommit) {
+  Engine engine;
+  IntBuffer buf(BufferMode::kRegistered, /*capacity=*/2);
+  CountingConsumer cons("cons", &buf);
+  buf.set_consumer(&cons);
+  buf.mark_shard_boundary(/*consumer_shard=*/1);
+  engine.add_component(&cons, /*shard=*/1);
+  engine.add_clocked(&buf, /*shard=*/1);
+  if (GetParam() == EngineMode::kDense) engine.set_dense(true);
+  if (GetParam() == EngineMode::kSharded) engine.set_sharded(2, nullptr);
+
+  buf.push(7);
+  engine.step();
+  EXPECT_FALSE(buf.empty()) << "the first commit latches the staged item";
+  EXPECT_EQ(engine.commits(), 1u);
+  EXPECT_TRUE(cons.received.empty()) << "not visible during cycle 0";
+  engine.step();
+  EXPECT_EQ(cons.received,
+            (std::vector<std::pair<uint64_t, int>>{{1, 7}}));
 }
+
+INSTANTIATE_TEST_SUITE_P(AllModes, EngineStaging,
+                         ::testing::Values(EngineMode::kActive,
+                                           EngineMode::kDense,
+                                           EngineMode::kSharded),
+                         [](const auto& tpinfo) {
+                           return std::string(engine_mode_name(tpinfo.param));
+                         });
 
 TEST(Engine, InlineShardedProfileChargesNoBarrier) {
   // Without an executor the sharded engine steps its lanes one after another

@@ -119,6 +119,18 @@ Json Json::get(const std::string& key, const Json& fallback) const {
   return fallback;
 }
 
+uint32_t Json::get_u32(const std::string& key, uint32_t fallback) const {
+  return contains(key) ? at_u32(key) : fallback;
+}
+
+uint32_t Json::at_u32(const std::string& key) const {
+  const uint64_t v = at(key).as_uint();
+  MEMPOOL_CHECK_MSG(v <= UINT32_MAX, "JSON member '" << key << "' (" << v
+                                                     << ") exceeds "
+                                                     << UINT32_MAX);
+  return static_cast<uint32_t>(v);
+}
+
 namespace {
 
 void escape_string(std::string& out, const std::string& s) {

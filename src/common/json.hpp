@@ -77,6 +77,12 @@ class Json {
   /// Member lookup with fallback. Returns by value: callers routinely pass a
   /// temporary fallback, which a reference return would leave dangling.
   Json get(const std::string& key, const Json& fallback) const;
+  /// Member @p key as a 32-bit unsigned integer (@p fallback when absent). A
+  /// wider value throws a CheckError naming the member instead of being
+  /// truncated into a different, valid-looking number.
+  uint32_t get_u32(const std::string& key, uint32_t fallback) const;
+  /// get_u32 of a required member: throws CheckError when absent.
+  uint32_t at_u32(const std::string& key) const;
 
   /// Deep structural equality: same type and same value (kInt and kDouble
   /// never compare equal, even for the same numeric value — serialization

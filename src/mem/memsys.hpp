@@ -3,9 +3,9 @@
 // registry (noc/fabric.hpp) for the memory side of the cluster.
 //
 // A memory system is one self-contained plugin implementing MemorySystem: it
-// owns bank construction, the address-map/scrambler choice, its per-level
-// latency/bandwidth parameters (validated against param_keys), and the
-// energy/floorplan hooks. Because a memory hierarchy — unlike a topology —
+// owns bank construction, the address-map/scrambler choice, and its
+// per-level latency/bandwidth parameters (validated against param_keys).
+// Because a memory hierarchy — unlike a topology —
 // carries per-cluster state (L2 storage, DMA engines in flight), the plugin
 // is a stateless factory: instantiate() returns a MemoryInstance holding
 // everything cluster-local, and one plugin serves any number of concurrently
@@ -35,7 +35,6 @@
 #include "core/cluster_config.hpp"
 #include "core/layout.hpp"
 #include "mem/bank.hpp"
-#include "power/energy_params.hpp"
 #include "sim/engine.hpp"
 
 namespace mempool {
@@ -183,26 +182,6 @@ class MemorySystem {
   // --- factory --------------------------------------------------------------
   virtual std::unique_ptr<MemoryInstance> instantiate(
       const ClusterConfig& cfg) const = 0;
-
-  // --- energy / floorplan hooks ---------------------------------------------
-  struct EnergyRow {
-    std::string label;
-    InstrEnergy energy;
-  };
-  /// Analytic Figure-10-style rows for the hierarchy's own operations (e.g.
-  /// one DMA word moved L2<->TCDM), priced with @p p on configuration @p cfg.
-  virtual std::vector<EnergyRow> energy_rows(const ClusterConfig& cfg,
-                                             const EnergyParams& p) const {
-    (void)cfg;
-    (void)p;
-    return {};
-  }
-  /// Die area the hierarchy adds outside the tiles (the L2 macro); 0 for a
-  /// pure-L1 system. Consumed by floorplan sanity checks and reports.
-  virtual double extra_area_mm2(const ClusterConfig& cfg) const {
-    (void)cfg;
-    return 0.0;
-  }
 };
 
 /// Name-keyed registry of memory-system plugins. tcdm and tcdm+l2 register

@@ -208,23 +208,6 @@ class TcdmL2System final : public MemorySystem {
       const ClusterConfig& cfg) const override {
     return std::make_unique<TcdmL2Instance>(cfg);
   }
-  std::vector<EnergyRow> energy_rows(const ClusterConfig& cfg,
-                                     const EnergyParams& p) const override {
-    (void)cfg;
-    // One word moved between L2 and an L1 bank by the DMA: L2 macro access +
-    // AXI traversal + L1 bank write/read through the dedicated port. No
-    // core-side share — that is the point of the DMA.
-    InstrEnergy dma_word;
-    dma_word.core = 0;
-    dma_word.interconnect = p.axi_word;
-    dma_word.memory = p.l2_access + p.bank_access;
-    return {{"dma word (L2<->L1)", dma_word}};
-  }
-  double extra_area_mm2(const ClusterConfig& cfg) const override {
-    // GF22-class SRAM macro density, ~0.55 mm^2 per MiB, for the L2 array.
-    const L2Params p = l2_params_from(cfg);
-    return 0.55 * static_cast<double>(p.bytes) / (1024.0 * 1024.0);
-  }
 };
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "noc/butterfly.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -10,36 +9,45 @@
 namespace mempool {
 
 namespace {
-/// r-way perfect shuffle on L radix-r digits: left-rotate the digit string.
-unsigned shuffle(unsigned p, unsigned layers, unsigned radix_bits, unsigned n) {
-  const unsigned top = p >> ((layers - 1) * radix_bits);
-  return ((p << radix_bits) | top) & (n - 1);
+
+constexpr unsigned kRadix = 4;
+constexpr unsigned kRadixBits = 2;
+
+/// 4-way perfect shuffle on L radix-4 digits: left-rotate the digit string.
+unsigned shuffle(unsigned p, unsigned layers, unsigned n) {
+  const unsigned top = p >> ((layers - 1) * kRadixBits);
+  return ((p << kRadixBits) | top) & (n - 1);
 }
+
+/// The line position after stage @p l for a packet at position @p pos
+/// heading to @p dst: its switch's output slot, switch * 4 + digit.
+unsigned stage_hop(unsigned pos, unsigned dst, unsigned l, unsigned layers,
+                   unsigned n) {
+  const unsigned sw = shuffle(pos, layers, n) / kRadix;
+  return sw * kRadix + radix_digit(dst, layers - 1 - l, kRadixBits);
+}
+
 }  // namespace
 
 ButterflyNet::ButterflyNet(std::string name, std::size_t num_endpoints,
-                           unsigned radix, std::vector<BufferMode> layer_modes,
-                           EndpointFn dst_of, std::size_t buffer_capacity)
+                           std::vector<BufferMode> layer_modes,
+                           RouteFn dst_of, std::size_t buffer_capacity)
     : Component(std::move(name)),
       n_(num_endpoints),
-      radix_(radix),
-      radix_bits_(log2_exact(radix)),
       layers_(static_cast<unsigned>(layer_modes.size())),
       dst_of_(std::move(dst_of)),
-      out_(num_endpoints, nullptr) {
-  MEMPOOL_CHECK(is_pow2(radix) && radix >= 2);
+      out_(num_endpoints, nullptr),
+      arb_(num_endpoints, kRadix) {
   MEMPOOL_CHECK(is_pow2(num_endpoints));
-  const unsigned want_layers =
-      log2_exact(num_endpoints) / log2_exact(radix);
-  MEMPOOL_CHECK_MSG(want_layers * radix_bits_ == log2_exact(num_endpoints),
-                    "num_endpoints must be a power of the radix");
+  const unsigned want_layers = log2_exact(num_endpoints) / kRadixBits;
+  MEMPOOL_CHECK_MSG(want_layers * kRadixBits == log2_exact(num_endpoints),
+                    "num_endpoints must be a power of 4");
   MEMPOOL_CHECK_MSG(layers_ == want_layers,
                     "need " << want_layers << " layer modes, got " << layers_);
 
   buf_.resize(layers_);
   occ_words_ = (n_ + 63) / 64;
   occ_.assign(layers_ * occ_words_, 0);
-  arb_scratch_.assign(occ_words_, 0);
   for (unsigned l = 0; l < layers_; ++l) {
     buf_[l].reserve_exact(n_);
     for (std::size_t p = 0; p < n_; ++p) {
@@ -53,10 +61,7 @@ ButterflyNet::ButterflyNet(std::string name, std::size_t num_endpoints,
   in_sinks_.reserve(n_);
   for (std::size_t p = 0; p < n_; ++p) in_sinks_.emplace_back(buf_[0][p]);
 
-  rr_.resize(layers_);
-  for (unsigned l = 0; l < layers_; ++l) {
-    rr_[l].assign((n_ / radix_) * radix_, 0);
-  }
+  rr_.assign(layers_, std::vector<uint32_t>(n_, 0));
   traversals_.assign(layers_, 0);
 }
 
@@ -91,109 +96,44 @@ bool ButterflyNet::idle() const {
   return true;
 }
 
-unsigned ButterflyNet::stage_hop(unsigned pos, unsigned dst, unsigned l,
-                                 unsigned layers, unsigned radix_bits,
-                                 unsigned n) {
-  const unsigned q = shuffle(pos, layers, radix_bits, n);
-  const unsigned radix = 1u << radix_bits;
-  const unsigned sw = q / radix;
-  const unsigned digit = radix_digit(dst, layers - 1 - l, radix_bits);
-  return sw * radix + digit;
-}
-
 void ButterflyNet::evaluate(uint64_t /*cycle*/) {
+  const auto n = static_cast<unsigned>(n_);
+  // The shuffle feeds line p into input p / (n/4) of switch p % (n/4); n/4
+  // is 4^(L-1), so the input is p's top digit.
+  const unsigned top_digit = (layers_ - 1) * kRadixBits;
   // Process layers in order so that a packet can ripple through consecutive
   // combinational layers within one cycle.
   for (unsigned l = 0; l < layers_; ++l) {
     auto& layer = buf_[l];
-    // Per-switch arbitration: visit switches; each switch covers the r lines
-    // whose shuffled position falls inside it. We iterate over the occupied
-    // line positions, bucket candidates per (switch, digit), then grant.
-    struct Cand {
-      unsigned line;
-      unsigned next;  // line position after this stage (winner's destination)
-      unsigned slot;  // (sw * radix + digit), arbitration domain
-      unsigned sw_in; // input index within the switch (for round-robin)
-    };
-    // Collect candidates: set bits of the layer's occupancy mask, in
-    // ascending line order (identical to the historical full scan).
-    static thread_local std::vector<Cand> cands;
-    cands.clear();
+    // Each occupied line requests its switch output for its destination,
+    // in ascending line order (set bits of the layer's occupancy mask).
     for (std::size_t wi = 0; wi < occ_words_; ++wi) {
       for (uint64_t m = occ_[l * occ_words_ + wi]; m != 0; m &= m - 1) {
         const auto p = static_cast<unsigned>(wi * 64 + std::countr_zero(m));
-        const Packet& pkt = layer[p].front();
-        const unsigned dst = dst_of_(pkt);
+        const unsigned dst = dst_of_(layer[p].front());
         MEMPOOL_CHECK_MSG(dst < n_, name() << ": endpoint " << dst
                                            << " out of range " << n_);
-        const unsigned q =
-            shuffle(p, layers_, radix_bits_, static_cast<unsigned>(n_));
-        const unsigned sw = q / radix_;
-        const unsigned digit = radix_digit(dst, layers_ - 1 - l, radix_bits_);
-        cands.push_back({p, sw * radix_ + digit, sw * radix_ + digit,
-                         q % radix_});
+        arb_.request(stage_hop(p, dst, l, layers_, n),
+                     static_cast<uint16_t>(p >> top_digit));
       }
     }
-    if (cands.empty()) continue;
-
-    // Grant per arbitration slot using round-robin over switch inputs.
-    // Candidates with the same slot compete; the winner moves. The winner
-    // carries its own destination (all members of a slot group share it by
-    // construction — slot == next — but the grant must never borrow another
-    // candidate's routing). Slots span (n_+63)/64 request-mask words.
-    std::fill(arb_scratch_.begin(), arb_scratch_.end(), 0);
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      const unsigned slot = cands[i].slot;
-      uint64_t& arb_word = arb_scratch_[slot / 64];
-      const uint64_t slot_bit = 1ull << (slot % 64);
-      if ((arb_word & slot_bit) != 0) continue;  // group already granted
-      arb_word |= slot_bit;
-      // Gather all candidates for this slot (cands are in line order, so
-      // same-slot entries are not necessarily adjacent; scan forward).
-      unsigned best_line = cands[i].line;
-      unsigned best_in = cands[i].sw_in;
-      unsigned best_next = cands[i].next;
-      unsigned best_dist = (cands[i].sw_in + radix_ - rr_[l][slot]) % radix_;
-      std::size_t group = 1;
-      for (std::size_t j = i + 1; j < cands.size(); ++j) {
-        if (cands[j].slot != slot) continue;
-        ++group;
-        const unsigned dist = (cands[j].sw_in + radix_ - rr_[l][slot]) % radix_;
-        if (dist < best_dist) {
-          best_dist = dist;
-          best_line = cands[j].line;
-          best_in = cands[j].sw_in;
-          best_next = cands[j].next;
-        }
-      }
-
-      // Move the winner to ITS destination: the next layer's input buffer, or
-      // the endpoint sink after the last layer.
-      PacketBuffer* next_buf =
-          (l + 1 < layers_) ? &buf_[l + 1][best_next] : nullptr;
-      PacketSink* out_sink = nullptr;
-      if (next_buf == nullptr) {
-        MEMPOOL_CHECK_MSG(out_[best_next] != nullptr,
-                          name() << ": output " << best_next
-                                 << " not connected");
-        out_sink = out_[best_next];
-      }
-      const bool ready =
-          next_buf != nullptr ? next_buf->can_accept() : out_sink->can_accept();
-      if (ready) {
-        const Packet granted = layer[best_line].pop();
-        if (next_buf != nullptr) {
-          next_buf->push(granted);
-        } else {
-          out_sink->push(granted);
-        }
-        ++traversals_[l];
-        blocked_ += group - 1;
-        rr_[l][slot] = (best_in + 1u) % radix_;
+    // The winner of slot (switch * 4 + digit) moves to the next layer's
+    // buffer at that position, or to the endpoint sink after the last layer.
+    blocked_ += arb_.grant(rr_[l], [&](std::size_t slot, uint16_t in) {
+      PacketBuffer& from = layer[slot / kRadix + (in << top_digit)];
+      if (l + 1 < layers_) {
+        PacketBuffer& to = buf_[l + 1][slot];
+        if (!to.can_accept()) return false;
+        to.push(from.pop());
       } else {
-        blocked_ += group;
+        MEMPOOL_CHECK_MSG(out_[slot] != nullptr,
+                          name() << ": output " << slot << " not connected");
+        if (!out_[slot]->can_accept()) return false;
+        out_[slot]->push(from.pop());
       }
-    }
+      ++traversals_[l];
+      return true;
+    });
   }
 }
 

@@ -1,9 +1,11 @@
 #pragma once
-// Minimal radix-r butterfly network (Section III-A, Figure 1): log_r(N)
-// layers of r×r logarithmic crossbar switches with an r-way perfect shuffle
-// between layers (omega construction). Destination-tag routing: at layer l
-// the switch output equals digit (L-1-l) of the destination endpoint, so
-// there is a single path per master/slave pair (oblivious routing).
+// Minimal radix-4 butterfly network (Section III-A, Figure 1): log4(N) layers
+// of 4×4 logarithmic crossbar switches with a 4-way perfect shuffle between
+// layers (omega construction). Destination-tag routing: at layer l the switch
+// output equals digit (L-1-l) of the destination endpoint, so there is a
+// single path per master/slave pair (oblivious routing). Each switch output
+// grants round-robin over the switch's 4 inputs, through the same arbiter as
+// XbarSwitch.
 //
 // Pipeline registers are placed per layer: a layer whose input buffers are
 // kRegistered adds one cycle (e.g. Top1's "single pipeline stage midway
@@ -11,29 +13,28 @@
 // registered as the tile's master-port boundary).
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/pinned_vector.hpp"
+#include "noc/rr_arbiter.hpp"
+#include "noc/xbar.hpp"
 #include "sim/component.hpp"
 #include "sim/elastic_buffer.hpp"
 #include "sim/engine.hpp"
-#include "noc/xbar.hpp"
 
 namespace mempool {
 
-/// Extracts the destination endpoint index in [0, N) from a packet; the
-/// builder supplies this (e.g. target tile for request networks, requester
-/// tile for response networks, possibly rebased to a group-local index).
-using EndpointFn = std::function<unsigned(const Packet&)>;
-
 class ButterflyNet final : public Component {
  public:
-  /// @param num_endpoints N = radix^L for some integer L >= 1.
+  /// @param num_endpoints N = 4^L for some integer L >= 1.
   /// @param layer_modes   input buffer mode per layer (size L).
-  ButterflyNet(std::string name, std::size_t num_endpoints, unsigned radix,
-               std::vector<BufferMode> layer_modes, EndpointFn dst_of,
+  /// @param dst_of        destination endpoint in [0, N) of a packet (e.g.
+  ///                      target tile for request networks, requester tile
+  ///                      for response networks, possibly rebased to a
+  ///                      group-local index).
+  ButterflyNet(std::string name, std::size_t num_endpoints,
+               std::vector<BufferMode> layer_modes, RouteFn dst_of,
                std::size_t buffer_capacity = 2);
 
   /// Sink for producers to push into endpoint @p i.
@@ -45,10 +46,6 @@ class ButterflyNet final : public Component {
   void register_clocked(Engine& engine, uint32_t shard = 0);
 
   void evaluate(uint64_t cycle) override;
-
-  std::size_t num_endpoints() const { return n_; }
-  unsigned radix() const { return radix_; }
-  unsigned num_layers() const { return layers_; }
 
   /// Switch traversals in layer @p l (energy model) and in total.
   uint64_t layer_traversals(unsigned l) const { return traversals_[l]; }
@@ -66,17 +63,10 @@ class ButterflyNet final : public Component {
   void save_state(StateSink& s) const override;
   void load_state(StateSource& s) override;
 
-  /// Pure routing arithmetic, exposed for tests: the line position after
-  /// stage @p l for a packet currently at position @p pos heading to @p dst.
-  static unsigned stage_hop(unsigned pos, unsigned dst, unsigned l,
-                            unsigned layers, unsigned radix_bits, unsigned n);
-
  private:
   std::size_t n_;
-  unsigned radix_;
-  unsigned radix_bits_;
   unsigned layers_;
-  EndpointFn dst_of_;
+  RouteFn dst_of_;
   // buf_[l][p]: input buffer of layer l at line position p (pre-shuffle).
   // Inner PinnedVector, not vector: ElasticBuffer is pinned (non-movable);
   // each layer's line buffers sit in one contiguous block.
@@ -86,11 +76,12 @@ class ButterflyNet final : public Component {
   // layer. One word per 64 lines (N > 64 spans several words).
   std::size_t occ_words_ = 1;
   std::vector<uint64_t> occ_;
-  std::vector<uint64_t> arb_scratch_;  // slots arbitrated this layer
   std::vector<BufferSink<PacketBuffer>> in_sinks_;
   std::vector<PacketSink*> out_;
-  // rr_[l][switch][digit]: round-robin pointer per layer/switch/output.
+  // rr_[l][switch * 4 + digit]: round-robin pointer per layer/switch/output.
   std::vector<std::vector<uint32_t>> rr_;
+  // One layer's requests at a time: N output slots of 4 inputs each.
+  RoundRobinArbiter arb_;
   std::vector<uint64_t> traversals_;
   uint64_t blocked_ = 0;
 };

@@ -35,6 +35,17 @@ namespace mempool::fabric {
 
 namespace {
 
+/// The "supergroups" param, range-checked before narrowing so an over-range
+/// value fails instead of wrapping to a small, valid-looking count.
+uint32_t supergroups(const ClusterConfig& cfg) {
+  const uint64_t v = cfg.topology.param_uint("supergroups", 4);
+  MEMPOOL_CHECK_MSG(v <= cfg.num_groups,
+                    "TopH2 param 'supergroups' (" << v << ") exceeds "
+                                                  << "num_groups ("
+                                                  << cfg.num_groups << ")");
+  return static_cast<uint32_t>(v);
+}
+
 /// Hierarchy arithmetic for one configuration.
 struct Shape {
   uint32_t tpg;   ///< tiles per group
@@ -44,8 +55,7 @@ struct Shape {
 
   explicit Shape(const ClusterConfig& cfg)
       : tpg(cfg.tiles_per_group()),
-        sg(static_cast<uint32_t>(
-            cfg.topology.param_uint("supergroups", 4))),
+        sg(supergroups(cfg)),
         gps(sg != 0 ? cfg.num_groups / sg : 0),
         tps(tpg * gps) {}
 
@@ -217,14 +227,14 @@ class TopH2 final : public FabricTopology {
           // super-group shard, so no boundary marking is needed.
           ButterflyNet* req = b.add_req_butterfly(
               std::make_unique<ButterflyNet>(
-                  "req_bfly" + suffix, s.tpg, 4u, bfly_layer_modes(mid_layers),
+                  "req_bfly" + suffix, s.tpg, bfly_layer_modes(mid_layers),
                   [s](const Packet& p) {
                     return static_cast<unsigned>(p.dst_tile % s.tpg);
                   }),
               sp);
           ButterflyNet* resp = b.add_resp_butterfly(
               std::make_unique<ButterflyNet>(
-                  "resp_bfly" + suffix, s.tpg, 4u, bfly_layer_modes(mid_layers),
+                  "resp_bfly" + suffix, s.tpg, bfly_layer_modes(mid_layers),
                   [s](const Packet& p) {
                     return static_cast<unsigned>(p.src_tile % s.tpg);
                   }),
@@ -255,16 +265,14 @@ class TopH2 final : public FabricTopology {
         // shard boundary.
         ButterflyNet* req = b.add_req_butterfly(
             std::make_unique<ButterflyNet>(
-                "req_tbfly" + suffix, s.tps, 4u,
-                bfly_all_registered(top_layers),
+                "req_tbfly" + suffix, s.tps, bfly_all_registered(top_layers),
                 [s](const Packet& p) {
                   return static_cast<unsigned>(p.dst_tile % s.tps);
                 }),
             sq);
         ButterflyNet* resp = b.add_resp_butterfly(
             std::make_unique<ButterflyNet>(
-                "resp_tbfly" + suffix, s.tps, 4u,
-                bfly_all_registered(top_layers),
+                "resp_tbfly" + suffix, s.tps, bfly_all_registered(top_layers),
                 [s](const Packet& p) {
                   return static_cast<unsigned>(p.src_tile % s.tps);
                 }),

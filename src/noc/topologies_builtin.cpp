@@ -104,10 +104,10 @@ class Top1 : public FabricTopology {
     const unsigned layers = bfly_layers(n);
     for (uint32_t k = 0; k < planes; ++k) {
       ButterflyNet* req = b.add_req_butterfly(std::make_unique<ButterflyNet>(
-          "req_bfly" + std::to_string(k), n, 4u, bfly_layer_modes(layers),
+          "req_bfly" + std::to_string(k), n, bfly_layer_modes(layers),
           [](const Packet& p) { return static_cast<unsigned>(p.dst_tile); }));
       ButterflyNet* resp = b.add_resp_butterfly(std::make_unique<ButterflyNet>(
-          "resp_bfly" + std::to_string(k), n, 4u, bfly_layer_modes(layers),
+          "resp_bfly" + std::to_string(k), n, bfly_layer_modes(layers),
           [](const Packet& p) { return static_cast<unsigned>(p.src_tile); }));
       for (uint32_t t = 0; t < n; ++t) {
         req->connect_output(t, b.tile(t).slave_req(k));
@@ -299,7 +299,7 @@ class TopH final : public FabricTopology {
         ButterflyNet* req = b.add_req_butterfly(
             std::make_unique<ButterflyNet>(
                 "req_bfly_g" + std::to_string(g) + "_d" + std::to_string(i),
-                tpg, 4u, bfly_layer_modes(layers),
+                tpg, bfly_layer_modes(layers),
                 [tpg](const Packet& p) {
                   return static_cast<unsigned>(p.dst_tile % tpg);
                 }),
@@ -307,7 +307,7 @@ class TopH final : public FabricTopology {
         ButterflyNet* resp = b.add_resp_butterfly(
             std::make_unique<ButterflyNet>(
                 "resp_bfly_g" + std::to_string(g) + "_d" + std::to_string(i),
-                tpg, 4u, bfly_layer_modes(layers),
+                tpg, bfly_layer_modes(layers),
                 [tpg](const Packet& p) {
                   return static_cast<unsigned>(p.src_tile % tpg);
                 }),

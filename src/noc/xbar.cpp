@@ -13,13 +13,12 @@ XbarSwitch::XbarSwitch(std::string name, std::vector<BufferMode> in_modes,
     : Component(std::move(name)),
       out_(num_outputs, nullptr),
       rr_(num_outputs, 0),
-      cand_(num_outputs),
-      route_(std::move(route)) {
+      route_(std::move(route)),
+      arb_(num_outputs, in_modes.size()) {
   MEMPOOL_CHECK(!in_modes.empty());
   MEMPOOL_CHECK(num_outputs > 0);
   MEMPOOL_CHECK(in_capacity >= 1);
   occ_.assign((in_modes.size() + 63) / 64, 0);
-  out_req_.assign((num_outputs + 63) / 64, 0);
   in_sinks_.reserve(in_modes.size());
   in_.reserve_exact(in_modes.size());
   for (BufferMode m : in_modes) {
@@ -33,7 +32,6 @@ XbarSwitch::XbarSwitch(std::string name, std::vector<BufferMode> in_modes,
     ++bit;
     in_sinks_.emplace_back(buf);
   }
-  for (auto& c : cand_) c.reserve(in_.size());
 }
 
 XbarSwitch::XbarSwitch(std::string name, std::size_t num_inputs,
@@ -95,7 +93,6 @@ void XbarSwitch::evaluate(uint64_t /*cycle*/) {
       return;
     }
   }
-  bool any = false;
   for (std::size_t wi = 0; wi < occ_.size(); ++wi) {
     for (uint64_t m = occ_[wi]; m != 0; m &= m - 1) {
       const std::size_t i =
@@ -104,46 +101,17 @@ void XbarSwitch::evaluate(uint64_t /*cycle*/) {
       MEMPOOL_CHECK_MSG(o < out_.size(),
                         name() << ": route returned " << o << " of "
                                << out_.size() << " outputs");
-      cand_[o].push_back(static_cast<uint16_t>(i));
-      out_req_[o / 64] |= 1ull << (o % 64);
-      any = true;
+      arb_.request(o, static_cast<uint16_t>(i));
     }
   }
-  if (!any) return;
-
-  // Per-output round-robin grant (requested outputs only, ascending order).
-  for (std::size_t wo = 0; wo < out_req_.size(); ++wo) {
-    uint64_t out_mask = out_req_[wo];
-    out_req_[wo] = 0;  // reset the scratch for the next evaluate
-    for (; out_mask != 0; out_mask &= out_mask - 1) {
-      const std::size_t o =
-          wo * 64 + static_cast<std::size_t>(std::countr_zero(out_mask));
-      auto& cands = cand_[o];
-      MEMPOOL_CHECK_MSG(out_[o] != nullptr, name() << ": output " << o
-                                                   << " not connected");
-      if (!out_[o]->can_accept()) {
-        blocked_ += cands.size();
-        cands.clear();
-        continue;
-      }
-      // Winner: first candidate at or after the round-robin pointer.
-      uint16_t winner = cands[0];
-      const uint32_t num_in = static_cast<uint32_t>(in_.size());
-      uint32_t best = num_in;
-      for (uint16_t c : cands) {
-        const uint32_t dist = (c + num_in - rr_[o]) % num_in;
-        if (dist < best) {
-          best = dist;
-          winner = c;
-        }
-      }
-      blocked_ += cands.size() - 1;
-      out_[o]->push(in_[winner].pop());
-      ++traversals_;
-      rr_[o] = (winner + 1u) % num_in;
-      cands.clear();
-    }
-  }
+  blocked_ += arb_.grant(rr_, [this](std::size_t o, uint16_t i) {
+    MEMPOOL_CHECK_MSG(out_[o] != nullptr, name() << ": output " << o
+                                                 << " not connected");
+    if (!out_[o]->can_accept()) return false;
+    out_[o]->push(in_[i].pop());
+    ++traversals_;
+    return true;
+  });
 }
 
 void XbarSwitch::describe(GraphVisitor& v) const {

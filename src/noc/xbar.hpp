@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/pinned_vector.hpp"
+#include "noc/rr_arbiter.hpp"
 #include "sim/component.hpp"
 #include "sim/elastic_buffer.hpp"
 #include "sim/engine.hpp"
@@ -50,9 +51,6 @@ class XbarSwitch final : public Component {
 
   void evaluate(uint64_t cycle) override;
 
-  std::size_t num_inputs() const { return in_.size(); }
-  std::size_t num_outputs() const { return out_.size(); }
-
   /// Total packets moved through the switch (for the energy model).
   uint64_t traversals() const { return traversals_; }
   /// Cycles × outputs where a candidate was present but not granted
@@ -79,12 +77,12 @@ class XbarSwitch final : public Component {
   std::vector<BufferSink<PacketBuffer>> in_sinks_;
   std::vector<PacketSink*> out_;
   std::vector<uint32_t> rr_;            // round-robin pointer per output
-  std::vector<std::vector<uint16_t>> cand_;  // scratch: candidates per output
   RouteFn route_;
   std::vector<uint64_t> occ_;      ///< Bit i: input i holds a visible packet.
-  std::vector<uint64_t> out_req_;  ///< Scratch: outputs with candidates.
   uint64_t traversals_ = 0;
   uint64_t blocked_ = 0;
+  // Last: the fast path above reads none of it.
+  RoundRobinArbiter arb_;
 };
 
 }  // namespace mempool

@@ -30,9 +30,6 @@ struct EnergyParams {
   // Instruction cache.
   double icache_hit = 4.6;    ///< Tag + data access of the 4-way 2 KiB I$.
   double icache_miss = 60.0;  ///< Refill line fill + AXI transfer.
-  // L2 / AXI (the tcdm+l2 memory system; extrapolated, not paper-reported).
-  double l2_access = 11.0;    ///< One L2 SRAM-macro word read/write.
-  double axi_word = 6.0;      ///< One word over the group's AXI port.
 };
 
 /// Analytic energy of one instruction (a Figure-10 row).

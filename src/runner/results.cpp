@@ -70,7 +70,7 @@ SweepResult sweep_from_json(const Json& j) {
                     "not a mempool.sweep.v3 document (schema '" << schema
                                                               << "')");
   SweepResult result;
-  result.threads = static_cast<unsigned>(j.at("threads").as_uint());
+  result.threads = j.at_u32("threads");
   result.wall_seconds = j.at("wall_seconds").as_double();
   for (const Json& rec : j.at("points").items()) {
     TrafficExperimentConfig cfg;
@@ -100,18 +100,12 @@ SweepResult sweep_from_json(const Json& j) {
                           << MemoryRegistry::available());
     cfg.cluster.memory = std::move(mspec);
     cfg.cluster.scrambling = rec.at("scrambling").as_bool();
-    cfg.cluster.num_tiles =
-        static_cast<uint32_t>(rec.at("num_tiles").as_uint());
-    cfg.cluster.cores_per_tile =
-        static_cast<uint32_t>(rec.at("cores_per_tile").as_uint());
-    cfg.cluster.banks_per_tile =
-        static_cast<uint32_t>(rec.at("banks_per_tile").as_uint());
-    cfg.cluster.bank_bytes =
-        static_cast<uint32_t>(rec.at("bank_bytes").as_uint());
-    cfg.cluster.seq_region_bytes =
-        static_cast<uint32_t>(rec.at("seq_region_bytes").as_uint());
-    cfg.cluster.num_groups =
-        static_cast<uint32_t>(rec.at("num_groups").as_uint());
+    cfg.cluster.num_tiles = rec.at_u32("num_tiles");
+    cfg.cluster.cores_per_tile = rec.at_u32("cores_per_tile");
+    cfg.cluster.banks_per_tile = rec.at_u32("banks_per_tile");
+    cfg.cluster.bank_bytes = rec.at_u32("bank_bytes");
+    cfg.cluster.seq_region_bytes = rec.at_u32("seq_region_bytes");
+    cfg.cluster.num_groups = rec.at_u32("num_groups");
     // Traffic experiments replace the cores with generators, so the CoreConfig
     // and ICacheConfig timing parameters do not influence the results and are
     // not part of the schema; everything that does influence them is, and an
@@ -126,8 +120,7 @@ SweepResult sweep_from_json(const Json& j) {
     MEMPOOL_CHECK_MSG(engine_mode_from_name(engine, &cfg.engine),
                       "unknown engine '" << engine << "'; available: "
                                          << engine_mode_available());
-    cfg.sim_threads = static_cast<unsigned>(
-        rec.get("sim_threads", Json(uint64_t{1})).as_uint());
+    cfg.sim_threads = rec.get_u32("sim_threads", 1);
     cfg.warmup_cycles = rec.at("warmup_cycles").as_uint();
     cfg.measure_cycles = rec.at("measure_cycles").as_uint();
     cfg.drain_cycles = rec.at("drain_cycles").as_uint();

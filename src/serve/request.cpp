@@ -73,17 +73,6 @@ constexpr const char* kRequestFields[] = {
     // canonical serialization (it must not split the cache key space).
     "deadline_ms"};
 
-/// A 32-bit member; wider values are rejected rather than truncated into a
-/// different point (and that point's cache key).
-uint32_t override_u32(const Json& j, const char* key, uint32_t fallback) {
-  if (!j.contains(key)) return fallback;
-  const uint64_t v = j.at(key).as_uint();
-  MEMPOOL_CHECK_MSG(v <= UINT32_MAX, "request member '"
-                                         << key << "' (" << v
-                                         << ") exceeds " << UINT32_MAX);
-  return static_cast<uint32_t>(v);
-}
-
 }  // namespace
 
 SimRequest SimRequest::from_config(const TrafficExperimentConfig& cfg) {
@@ -123,17 +112,15 @@ SimRequest SimRequest::from_json(const Json& j) {
   // The plugin's canonical scale is the geometry default, so a request that
   // names only the topology means the same cluster the benches run.
   cfg.cluster = ClusterConfig::paper(topo, scrambling);
-  cfg.cluster.num_tiles = override_u32(j, "num_tiles", cfg.cluster.num_tiles);
+  cfg.cluster.num_tiles = j.get_u32("num_tiles", cfg.cluster.num_tiles);
   cfg.cluster.cores_per_tile =
-      override_u32(j, "cores_per_tile", cfg.cluster.cores_per_tile);
+      j.get_u32("cores_per_tile", cfg.cluster.cores_per_tile);
   cfg.cluster.banks_per_tile =
-      override_u32(j, "banks_per_tile", cfg.cluster.banks_per_tile);
-  cfg.cluster.bank_bytes =
-      override_u32(j, "bank_bytes", cfg.cluster.bank_bytes);
+      j.get_u32("banks_per_tile", cfg.cluster.banks_per_tile);
+  cfg.cluster.bank_bytes = j.get_u32("bank_bytes", cfg.cluster.bank_bytes);
   cfg.cluster.seq_region_bytes =
-      override_u32(j, "seq_region_bytes", cfg.cluster.seq_region_bytes);
-  cfg.cluster.num_groups =
-      override_u32(j, "num_groups", cfg.cluster.num_groups);
+      j.get_u32("seq_region_bytes", cfg.cluster.seq_region_bytes);
+  cfg.cluster.num_groups = j.get_u32("num_groups", cfg.cluster.num_groups);
   if (j.contains("memory")) {
     MemorySpec mem = parse_spec<MemorySpec>(j.at("memory"), "memory");
     MEMPOOL_CHECK_MSG(MemoryRegistry::find(mem.name) != nullptr,
@@ -150,7 +137,7 @@ SimRequest SimRequest::from_json(const Json& j) {
   MEMPOOL_CHECK_MSG(engine_mode_from_name(engine, &cfg.engine),
                     "unknown engine '" << engine << "'; available: "
                                        << engine_mode_available());
-  cfg.sim_threads = override_u32(j, "sim_threads", 1);
+  cfg.sim_threads = j.get_u32("sim_threads", 1);
   cfg.warmup_cycles = j.get("warmup_cycles", Json(cfg.warmup_cycles)).as_uint();
   cfg.measure_cycles =
       j.get("measure_cycles", Json(cfg.measure_cycles)).as_uint();

@@ -225,6 +225,22 @@ TEST(ClusterValidate, TopH2NonDividingSupergroupsRejected) {
   EXPECT_THROW(cfg.validate(), CheckError);
 }
 
+TEST(ClusterValidate, TopH2OverRangeSupergroupsRejected) {
+  // 2^32 + 4 would narrow to 4, which divides 16 groups.
+  ClusterConfig cfg;
+  cfg.topology =
+      TopologySpec{"TopH2", {{"supergroups", Json(uint64_t{4294967300})}}};
+  cfg.num_tiles = 256;
+  cfg.num_groups = 16;
+  try {
+    cfg.validate();
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("supergroups"), std::string::npos)
+        << e.what();
+  }
+}
+
 // --- energy hook ---------------------------------------------------------------
 
 TEST(FabricEnergy, TopHRowsMatchTheCalibratedModel) {

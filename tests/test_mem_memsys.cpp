@@ -155,24 +155,6 @@ TEST(SeqRegionValidation, NonPow2GeometryNamesField) {
   }
 }
 
-// --- energy / floorplan hooks -------------------------------------------------
-
-TEST(MemorySystemHooks, EnergyRowsAndArea) {
-  const ClusterConfig cfg = ClusterConfig::mini("TopH", true);
-  const EnergyParams p;
-  const MemorySystem& tcdm = MemoryRegistry::get("tcdm");
-  EXPECT_TRUE(tcdm.energy_rows(cfg, p).empty());
-  EXPECT_EQ(tcdm.extra_area_mm2(cfg), 0.0);
-
-  const MemorySystem& l2 = MemoryRegistry::get("tcdm+l2");
-  const auto rows = l2.energy_rows(cfg, p);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(rows[0].energy.total(),
-                   p.axi_word + p.l2_access + p.bank_access);
-  // 8 MiB default L2 at ~0.55 mm^2/MiB.
-  EXPECT_NEAR(l2.extra_area_mm2(cfg), 8 * 0.55, 1e-9);
-}
-
 // --- DMA engine end to end ----------------------------------------------------
 
 ClusterConfig l2_mini(EngineMode /*mode*/ = EngineMode::kActive) {

@@ -24,7 +24,7 @@ Packet to_tile(uint16_t dst, uint16_t src = 0) {
   return p;
 }
 
-EndpointFn by_dst() {
+RouteFn by_dst() {
   return [](const Packet& p) { return static_cast<unsigned>(p.dst_tile); };
 }
 
@@ -38,7 +38,7 @@ TEST_P(ButterflyAllPairs, EveryPairDelivered) {
   const unsigned n = GetParam();
   const unsigned layers = log2_exact(n) / 2;
   for (unsigned src = 0; src < n; ++src) {
-    ButterflyNet net("bf", n, 4, comb(layers), by_dst());
+    ButterflyNet net("bf", n, comb(layers), by_dst());
     std::vector<CollectSink> sinks(n);
     for (unsigned i = 0; i < n; ++i) net.connect_output(i, &sinks[i]);
     for (unsigned dst = 0; dst < n; ++dst) {
@@ -65,7 +65,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ButterflyAllPairs,
 TEST(Butterfly, PermutationTrafficAllDeliveredConcurrently) {
   // The identity permutation is conflict-free in an omega network.
   const unsigned n = 16;
-  ButterflyNet net("bf", n, 4, comb(2), by_dst());
+  ButterflyNet net("bf", n, comb(2), by_dst());
   std::vector<CollectSink> sinks(n);
   for (unsigned i = 0; i < n; ++i) net.connect_output(i, &sinks[i]);
   for (unsigned i = 0; i < n; ++i) {
@@ -81,8 +81,7 @@ TEST(Butterfly, PermutationTrafficAllDeliveredConcurrently) {
 TEST(Butterfly, RegisteredLayersAddCycles) {
   const unsigned n = 16;
   Engine engine;
-  ButterflyNet net("bf", n, 4,
-                   {BufferMode::kRegistered, BufferMode::kRegistered},
+  ButterflyNet net("bf", n, {BufferMode::kRegistered, BufferMode::kRegistered},
                    by_dst());
   net.register_clocked(engine);
   CollectSink sink;
@@ -100,7 +99,7 @@ TEST(Butterfly, RegisteredLayersAddCycles) {
 
 TEST(Butterfly, HotspotSerializesOnePerCycle) {
   const unsigned n = 16;
-  ButterflyNet net("bf", n, 4, comb(2), by_dst());
+  ButterflyNet net("bf", n, comb(2), by_dst());
   std::vector<CollectSink> sinks(n);
   for (unsigned i = 0; i < n; ++i) net.connect_output(i, &sinks[i]);
   // All 16 inputs target endpoint 5: the final switch output serializes.
@@ -117,9 +116,36 @@ TEST(Butterfly, HotspotSerializesOnePerCycle) {
   EXPECT_EQ(net.blocked() > 0, true);
 }
 
+TEST(Butterfly, RoundRobinWithinOneSwitch) {
+  // The shuffle wires lines 0, 4, 8 and 12 of a 16-endpoint butterfly to
+  // inputs 0..3 of layer-0 switch 0. All of them target endpoint 5, so they
+  // contend for one output of that switch. Lines 4, 8 and 12 stay backlogged;
+  // line 0 sends a single packet that arrives at cycle 2. The output grants
+  // the first requesting input at or after the one it granted last: the late
+  // arrival waits its turn, and the pointer wraps past the empty input.
+  const unsigned n = 16;
+  ButterflyNet net("bf", n, comb(2), by_dst());
+  std::vector<CollectSink> sinks(n);
+  for (unsigned i = 0; i < n; ++i) net.connect_output(i, &sinks[i]);
+  const std::vector<uint16_t> winners = {4, 8, 12, 0, 4, 8, 12, 4};
+  for (std::size_t cycle = 0; cycle < winners.size(); ++cycle) {
+    for (const unsigned line : {4u, 8u, 12u}) {
+      if (net.input(line)->can_accept()) {
+        net.input(line)->push(to_tile(5, static_cast<uint16_t>(line)));
+      }
+    }
+    if (cycle == 2) net.input(0)->push(to_tile(5, 0));
+    net.evaluate(cycle);
+    ASSERT_EQ(sinks[5].got.size(), cycle + 1) << "one grant per cycle";
+    EXPECT_EQ(sinks[5].got.back().src, winners[cycle]) << "cycle " << cycle;
+  }
+  // Every loser waits: two per cycle with three contenders, three with four.
+  EXPECT_EQ(net.blocked(), 18u);
+}
+
 TEST(Butterfly, TraversalCountersPerLayer) {
   const unsigned n = 16;
-  ButterflyNet net("bf", n, 4, comb(2), by_dst());
+  ButterflyNet net("bf", n, comb(2), by_dst());
   std::vector<CollectSink> sinks(n);
   for (unsigned i = 0; i < n; ++i) net.connect_output(i, &sinks[i]);
   net.input(0)->push(to_tile(15));
@@ -131,9 +157,9 @@ TEST(Butterfly, TraversalCountersPerLayer) {
 
 TEST(Butterfly, InvalidConstructionThrows) {
   // 8 endpoints is not a power of radix 4.
-  EXPECT_THROW(ButterflyNet("bf", 8, 4, comb(1), by_dst()), CheckError);
+  EXPECT_THROW(ButterflyNet("bf", 8, comb(1), by_dst()), CheckError);
   // Wrong layer-mode count.
-  EXPECT_THROW(ButterflyNet("bf", 16, 4, comb(3), by_dst()), CheckError);
+  EXPECT_THROW(ButterflyNet("bf", 16, comb(3), by_dst()), CheckError);
 }
 
 TEST(Butterfly, SinglePathOblivousRouting) {
@@ -141,7 +167,7 @@ TEST(Butterfly, SinglePathOblivousRouting) {
   // switches — verified indirectly: repeated sends keep per-layer traversal
   // deltas identical.
   const unsigned n = 64;
-  ButterflyNet net("bf", n, 4, comb(3), by_dst());
+  ButterflyNet net("bf", n, comb(3), by_dst());
   std::vector<CollectSink> sinks(n);
   for (unsigned i = 0; i < n; ++i) net.connect_output(i, &sinks[i]);
   net.input(17)->push(to_tile(42));

@@ -173,8 +173,7 @@ TEST(FabricFairness, SaturatedButterflyNeverStarvesAnInput) {
   // borrowed another candidate's routing state would skew or strand inputs.)
   const unsigned n = 16;
   ButterflyNet net(
-      "bf", n, 4,
-      {BufferMode::kCombinational, BufferMode::kCombinational},
+      "bf", n, {BufferMode::kCombinational, BufferMode::kCombinational},
       [](const Packet& p) { return static_cast<unsigned>(p.dst_tile); });
   std::vector<uint64_t> per_src(n, 0);
   class CountSink final : public PacketSink {

@@ -411,4 +411,39 @@ TEST(SweepJson, ShardedEngineRoundTrips) {
   }
 }
 
+TEST(SweepJson, OverRangeIntegersAreRejectedNamingTheMember) {
+  // 2^32 + 16 would narrow to 16: a mini TopH point with "num_tiles" at that
+  // value read back as a valid 16-tile point.
+  TrafficExperimentConfig cfg;
+  cfg.cluster = ClusterConfig::mini("TopH", false);
+  runner::SweepResult res;
+  res.configs = {cfg};
+  res.points = {TrafficPoint{}};
+  const Json doc = runner::sweep_to_json(res);
+  const Json over(uint64_t{4294967312});
+  auto expect_rejected = [](const Json& bad, const char* member) {
+    try {
+      runner::sweep_from_json(bad);
+      ADD_FAILURE() << member << ": expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(member), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* member :
+       {"num_tiles", "cores_per_tile", "banks_per_tile", "bank_bytes",
+        "seq_region_bytes", "num_groups", "sim_threads"}) {
+    Json rec = doc.at("points").at(0);
+    rec.set(member, over);
+    Json points = Json::array();
+    points.push_back(std::move(rec));
+    Json bad = doc;
+    bad.set("points", std::move(points));
+    expect_rejected(bad, member);
+  }
+  Json bad = doc;
+  bad.set("threads", over);
+  expect_rejected(bad, "threads");
+}
+
 }  // namespace

@@ -4,11 +4,9 @@
 // allocation, not just the ones a particular allocator reports.
 //
 // The sharded engine runs with one sim thread, so its lanes step inline on
-// the test thread: helper threads would be new for each System, and which
-// lane a thread evaluates depends on the schedule, so per-thread scratch
-// growth there is not reproducible run to run. TopX is left out: its
-// unbounded ideal bank queues grow by doubling in every new cluster (that
-// policy is pinned in test_sim_buffer.cpp).
+// the test thread. TopX is left out: its unbounded ideal bank queues grow by
+// doubling in every new cluster (that policy is pinned in
+// test_sim_buffer.cpp).
 
 #include <gtest/gtest.h>
 
@@ -141,10 +139,6 @@ class SteadyStateAllocation : public ::testing::TestWithParam<Case> {};
 
 TEST_P(SteadyStateAllocation, KernelStepsWithoutTouchingTheHeap) {
   const Case c = GetParam();
-  // The first run on this thread may grow per-thread scratch (the
-  // butterfly's thread_local candidate list) to its high-water mark; an
-  // identical second run must then allocate nothing.
-  (void)allocations_after_warmup(c.topology, c.mode);
   EXPECT_EQ(allocations_after_warmup(c.topology, c.mode), 0u);
 }
 

@@ -25,10 +25,10 @@ namespace {
 
 /// Saturation load: the highest offered load still accepted within 5 %.
 double saturation(const std::vector<double>& loads,
-                  const TrafficPoint* pts) {
+                  const serve::SimResult* pts) {
   double sat = 0;
   for (std::size_t i = 0; i < loads.size(); ++i) {
-    if (pts[i].accepted >= 0.95 * loads[i]) sat = pts[i].accepted;
+    if (pts[i].point.accepted >= 0.95 * loads[i]) sat = pts[i].point.accepted;
   }
   return sat;
 }
@@ -57,21 +57,22 @@ static int bench_main(int argc, char** argv) {
   opts.apply_engine(&spec.base);
 
   const SweepResult res = run_sweep(spec, opts.runner());
-  // Point index layout (SweepSpec::expand): topology-major, λ inner.
-  auto pts = [&](std::size_t topo) { return &res.points[topo * loads.size()]; };
+  // Point index layout (SweepSpec::expand_requests): topology-major, λ inner.
+  auto pts = [&](std::size_t topo) { return &res.results[topo * loads.size()]; };
 
   Table thr({"load (req/core/cy)", "Top1 accepted", "Top4 accepted",
              "TopH accepted"});
   Table lat({"load (req/core/cy)", "Top1 avg lat", "Top4 avg lat",
              "TopH avg lat"});
   for (std::size_t i = 0; i < loads.size(); ++i) {
-    thr.add_row({Table::num(loads[i], 2), Table::num(pts(0)[i].accepted, 3),
-                 Table::num(pts(1)[i].accepted, 3),
-                 Table::num(pts(2)[i].accepted, 3)});
+    thr.add_row({Table::num(loads[i], 2),
+                 Table::num(pts(0)[i].point.accepted, 3),
+                 Table::num(pts(1)[i].point.accepted, 3),
+                 Table::num(pts(2)[i].point.accepted, 3)});
     lat.add_row({Table::num(loads[i], 2),
-                 Table::num(pts(0)[i].avg_latency, 1),
-                 Table::num(pts(1)[i].avg_latency, 1),
-                 Table::num(pts(2)[i].avg_latency, 1)});
+                 Table::num(pts(0)[i].point.avg_latency, 1),
+                 Table::num(pts(1)[i].point.avg_latency, 1),
+                 Table::num(pts(2)[i].point.avg_latency, 1)});
   }
   std::cout << "\n(a) Throughput (request/core/cycle):\n";
   thr.print(std::cout);
@@ -84,7 +85,7 @@ static int bench_main(int argc, char** argv) {
   const double sath = saturation(loads, pts(2));
   double lat_h_033 = 0;
   for (std::size_t i = 0; i < loads.size(); ++i) {
-    if (loads[i] == 0.33) lat_h_033 = pts(2)[i].avg_latency;
+    if (loads[i] == 0.33) lat_h_033 = pts(2)[i].point.avg_latency;
   }
 
   std::cout << "\nSummary vs paper (Section V-A):\n";

@@ -38,20 +38,22 @@ static int bench_main(int argc, char** argv) {
   opts.apply_engine(&spec.base);
 
   const SweepResult res = run_sweep(spec, opts.runner());
-  // Point index layout (SweepSpec::expand): p_local-major, λ inner.
-  auto pts = [&](std::size_t p) { return &res.points[p * loads.size()]; };
+  // Point index layout (SweepSpec::expand_requests): p_local-major, λ inner.
+  auto pts = [&](std::size_t p) { return &res.results[p * loads.size()]; };
 
   Table thr({"load", "0% local", "25% local", "50% local", "100% local"});
   Table lat({"load", "0% local", "25% local", "50% local", "100% local"});
   for (std::size_t i = 0; i < loads.size(); ++i) {
-    thr.add_row({Table::num(loads[i], 2), Table::num(pts(0)[i].accepted, 3),
-                 Table::num(pts(1)[i].accepted, 3),
-                 Table::num(pts(2)[i].accepted, 3),
-                 Table::num(pts(3)[i].accepted, 3)});
-    lat.add_row({Table::num(loads[i], 2), Table::num(pts(0)[i].avg_latency, 1),
-                 Table::num(pts(1)[i].avg_latency, 1),
-                 Table::num(pts(2)[i].avg_latency, 1),
-                 Table::num(pts(3)[i].avg_latency, 1)});
+    thr.add_row({Table::num(loads[i], 2),
+                 Table::num(pts(0)[i].point.accepted, 3),
+                 Table::num(pts(1)[i].point.accepted, 3),
+                 Table::num(pts(2)[i].point.accepted, 3),
+                 Table::num(pts(3)[i].point.accepted, 3)});
+    lat.add_row({Table::num(loads[i], 2),
+                 Table::num(pts(0)[i].point.avg_latency, 1),
+                 Table::num(pts(1)[i].point.avg_latency, 1),
+                 Table::num(pts(2)[i].point.avg_latency, 1),
+                 Table::num(pts(3)[i].point.avg_latency, 1)});
   }
   std::cout << "\n(a) Throughput (request/core/cycle):\n";
   thr.print(std::cout);
@@ -63,7 +65,8 @@ static int bench_main(int argc, char** argv) {
   auto saturation = [&](std::size_t p) {
     double sat = 0;
     for (std::size_t i = 0; i < loads.size(); ++i) {
-      if (pts(p)[i].accepted >= 0.95 * loads[i]) sat = pts(p)[i].accepted;
+      const double accepted = pts(p)[i].point.accepted;
+      if (accepted >= 0.95 * loads[i]) sat = accepted;
     }
     return sat;
   };

@@ -87,8 +87,9 @@ static int bench_main(int argc, char** argv) {
     // worker, so no idle threads spin up for one task.
     opts.progress = false;
     opts.threads = 1;
-    const SweepResult res = run_points({e}, opts.runner());
-    const TrafficPoint& p = res.points[0];
+    const SweepResult res =
+        run_points({serve::SimRequest::from_config(e)}, opts.runner());
+    const TrafficPoint& p = res.results[0].point;
     std::printf("%s  offered=%.3f p_local=%.2f -> accepted=%.3f "
                 "avg_lat=%.2f p95=%.1f max=%.0f cycles\n",
                 topo.name.c_str(), p.offered, p_local, p.accepted,
@@ -111,7 +112,7 @@ static int bench_main(int argc, char** argv) {
 
   Table t({"offered", "accepted", "avg latency", "p95", "max"});
   for (std::size_t i = 0; i < spec.lambdas.size(); ++i) {
-    const TrafficPoint& p = res.points[i];
+    const TrafficPoint& p = res.results[i].point;
     t.add_row({Table::num(spec.lambdas[i], 2), Table::num(p.accepted, 3),
                Table::num(p.avg_latency, 2), Table::num(p.p95_latency, 1),
                Table::num(p.max_latency, 0)});

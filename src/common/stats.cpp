@@ -26,7 +26,7 @@ double RunningStat::variance() const {
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram(double bucket_width, std::size_t num_buckets)
-    : width_(bucket_width), buckets_(num_buckets, 0) {
+    : width_(bucket_width), num_buckets_(num_buckets) {
   MEMPOOL_CHECK(bucket_width > 0.0);
   MEMPOOL_CHECK(num_buckets > 0);
 }
@@ -35,24 +35,28 @@ void Histogram::add(double x) {
   ++count_;
   if (x < 0) x = 0;
   const auto idx = static_cast<std::size_t>(x / width_);
-  if (idx >= buckets_.size()) {
+  if (idx >= num_buckets_) {
     ++overflow_;
-  } else {
-    ++buckets_[idx];
+    return;
   }
+  if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0);
+  ++buckets_[idx];
 }
 
 void Histogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  buckets_.clear();
   count_ = 0;
   overflow_ = 0;
 }
 
 void Histogram::absorb(const Histogram& other) {
   MEMPOOL_CHECK_MSG(width_ == other.width_ &&
-                        buckets_.size() == other.buckets_.size(),
+                        num_buckets_ == other.num_buckets_,
                     "absorbing a histogram with a different shape");
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  if (other.buckets_.size() > buckets_.size()) {
+    buckets_.resize(other.buckets_.size(), 0);
+  }
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
@@ -61,11 +65,13 @@ void Histogram::absorb(const Histogram& other) {
 
 void Histogram::restore(const std::vector<uint64_t>& buckets, uint64_t count,
                         uint64_t overflow) {
-  MEMPOOL_CHECK_MSG(buckets.size() == buckets_.size(),
+  MEMPOOL_CHECK_MSG(buckets.size() == num_buckets_,
                     "restoring a histogram with a different shape ("
-                        << buckets.size() << " buckets into "
-                        << buckets_.size() << ")");
-  buckets_ = buckets;
+                        << buckets.size() << " buckets into " << num_buckets_
+                        << ")");
+  std::size_t used = buckets.size();
+  while (used > 0 && buckets[used - 1] == 0) --used;
+  buckets_.assign(buckets.begin(), buckets.begin() + used);
   count_ = count;
   overflow_ = overflow;
 }
@@ -106,7 +112,12 @@ double Histogram::quantile(double q) const {
     }
     cum = next;
   }
-  return width_ * static_cast<double>(buckets_.size());
+  // The first unstored bucket (count zero) answers when the stored ones
+  // already reach the target, as it would were it stored.
+  if (buckets_.size() < num_buckets_ && cum >= target) {
+    return width_ * static_cast<double>(buckets_.size());
+  }
+  return width_ * static_cast<double>(num_buckets_);
 }
 
 }  // namespace mempool

@@ -39,6 +39,11 @@ class RunningStat {
 
 /// Fixed-width bucket histogram over [0, bucket_width * num_buckets), with an
 /// overflow bucket. Used for request-latency distributions.
+///
+/// Storage grows with the samples: only buckets up to the highest one
+/// written are held, so a wide histogram (the service's 10 µs × 1,000,000)
+/// costs nothing until a slow sample lands. The logical size stays
+/// num_buckets; every bucket past buckets().size() counts zero.
 class Histogram {
  public:
   Histogram(double bucket_width, std::size_t num_buckets);
@@ -52,16 +57,18 @@ class Histogram {
 
   uint64_t count() const { return count_; }
   uint64_t overflow() const { return overflow_; }
+  /// The stored buckets: a prefix of the num_buckets() logical ones.
   const std::vector<uint64_t>& buckets() const { return buckets_; }
+  std::size_t num_buckets() const { return num_buckets_; }
   double bucket_width() const { return width_; }
 
   /// Value below which @p q (in [0,1]) of the samples fall, linear within a
   /// bucket; overflow samples count at the top edge.
   double quantile(double q) const;
 
-  /// Checkpoint restore: overwrite the counts wholesale (geometry must
-  /// match). Counts are integers, so a restored histogram is exactly the
-  /// saved one.
+  /// Checkpoint restore: overwrite the counts wholesale (@p buckets holds
+  /// all num_buckets() of them). Counts are integers, so a restored
+  /// histogram is exactly the saved one.
   void restore(const std::vector<uint64_t>& buckets, uint64_t count,
                uint64_t overflow);
 
@@ -71,6 +78,7 @@ class Histogram {
 
  private:
   double width_;
+  std::size_t num_buckets_;
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   uint64_t overflow_ = 0;

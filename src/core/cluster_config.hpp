@@ -19,7 +19,7 @@
 namespace mempool {
 
 /// Names a fabric-topology plugin and carries its free-form parameters
-/// (serialized verbatim into the mempool.sweep.v3 schema). Parameter keys
+/// (serialized verbatim into a SimRequest's canonical form). Parameter keys
 /// are validated against FabricTopology::param_keys() in
 /// ClusterConfig::validate(): unknown or ill-typed parameters throw there,
 /// not deep inside cluster construction.
@@ -43,7 +43,7 @@ struct TopologySpec {
 };
 
 /// Names a memory-system plugin (mem/memsys.hpp) and carries its free-form
-/// parameters (serialized verbatim into the mempool.sweep.v3 schema), the
+/// parameters (serialized verbatim into a SimRequest's canonical form), the
 /// exact mirror of TopologySpec for the memory hierarchy: parameter keys are
 /// validated against MemorySystem::param_keys() in ClusterConfig::validate(),
 /// so unknown or ill-typed parameters throw there, not deep inside

@@ -37,8 +37,13 @@ void LatencyMonitor::save_state(StateSink& s) const {
   s.f64(lat_max_);
   s.u64(hist_.count());
   s.u64(hist_.overflow());
-  s.u32(static_cast<uint32_t>(hist_.buckets().size()));
-  for (const uint64_t b : hist_.buckets()) s.u64(b);
+  // Every logical bucket, the unstored tail as zeros: the image layout does
+  // not depend on how far the histogram's storage has grown.
+  const std::vector<uint64_t>& stored = hist_.buckets();
+  s.u32(static_cast<uint32_t>(hist_.num_buckets()));
+  for (std::size_t i = 0; i < hist_.num_buckets(); ++i) {
+    s.u64(i < stored.size() ? stored[i] : 0);
+  }
 }
 
 void LatencyMonitor::load_state(StateSource& s) {

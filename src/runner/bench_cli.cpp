@@ -1,20 +1,18 @@
 #include "runner/bench_cli.hpp"
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "common/check.hpp"
+#include "common/file_io.hpp"
 #include "common/parse.hpp"
 #include "mem/memsys.hpp"
 #include "noc/fabric.hpp"
 #include "runner/results.hpp"
+#include "serve/request.hpp"
 #include "sim/engine.hpp"
-#include "sim/snapshot.hpp"
 #include "verify/drc_matrix.hpp"
 
 namespace mempool::runner {
@@ -321,26 +319,22 @@ BenchOptions parse_bench_options(int* argc, char** argv,
 }
 
 TrafficPoint run_checkpointed_point(const BenchOptions& opts,
-                                    const TrafficExperimentConfig& cfg,
-                                    TrafficCounters* counters_out) {
+                                    const TrafficExperimentConfig& cfg) {
   CheckpointOptions ckpt;
   ckpt.checkpoint_every = opts.checkpoint_every;
-  ckpt.key = opts.bench_name;
 
-  // Resume image: read the whole file up front; deserialize inside
-  // run_traffic_point validates the CRC/trailer, so a torn or bit-flipped
-  // file is rejected before any state is loaded.
+  // Resume image: read the whole file up front; the restore inside
+  // run_point validates the CRC/trailer and the key, so a torn, bit-flipped
+  // or foreign file is rejected before any state is loaded.
   std::string image;
   if (!opts.restore_path.empty()) {
-    std::ifstream in(opts.restore_path, std::ios::binary);
-    if (!in) {
+    std::optional<std::string> bytes = read_file(opts.restore_path);
+    if (!bytes) {
       std::fprintf(stderr, "%s: cannot read --restore image '%s'\n",
                    opts.bench_name.c_str(), opts.restore_path.c_str());
       std::exit(2);
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    image = buf.str();
+    image = *std::move(bytes);
     ckpt.restore_from = &image;
   }
 
@@ -350,14 +344,7 @@ TrafficPoint run_checkpointed_point(const BenchOptions& opts,
   if (opts.checkpoint_every != 0) {
     ckpt.on_checkpoint = [&out_path, &opts](uint64_t cycle,
                                             const std::string& img) {
-      // Write-then-rename: a kill at any instant leaves either the previous
-      // complete image or this one on disk, never a torn file.
-      const std::string tmp =
-          out_path + ".tmp." + std::to_string(::getpid());
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (out) out.write(img.data(), static_cast<std::streamsize>(img.size()));
-      if (!out || std::rename(tmp.c_str(), out_path.c_str()) != 0) {
-        std::remove(tmp.c_str());
+      if (!write_file_atomic(out_path, img)) {
         std::fprintf(stderr, "%s: failed to write checkpoint %s\n",
                      opts.bench_name.c_str(), out_path.c_str());
         std::exit(1);
@@ -371,7 +358,10 @@ TrafficPoint run_checkpointed_point(const BenchOptions& opts,
   }
 
   try {
-    return run_traffic_point(cfg, ckpt, counters_out);
+    // run_point stamps every image with the request key and restores only
+    // an image carrying the same key, so an image of any other point (a
+    // different λ, seed, topology...) is refused instead of resumed.
+    return serve::run_point(serve::SimRequest::from_config(cfg), ckpt).point;
   } catch (const CheckError& e) {
     // A corrupt or mismatched restore image is a CLI error, not a crash.
     std::fprintf(stderr, "%s: %s\n", opts.bench_name.c_str(), e.what());

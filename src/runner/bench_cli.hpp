@@ -129,16 +129,17 @@ BenchOptions parse_bench_options(int* argc, char** argv,
                                  bool accepts_memory = false,
                                  bool accepts_checkpoint = false);
 
-/// Run one point honoring --checkpoint-every / --checkpoint-out / --restore:
-/// periodic mempool.ckpt.v1 images are written atomically (tmp + rename) so
-/// a crash at any moment leaves either the previous complete image or the
-/// new one, never a torn file; --restore resumes from such an image and the
-/// finished point is bit-identical to an uninterrupted run. Snapshots are
-/// keyed by the bench name, so a fig5 image cannot resume a fig7 run. Exits
-/// (2) with a message when the restore image is unreadable or corrupt.
+/// Run one point through serve::run_point honoring --checkpoint-every /
+/// --checkpoint-out / --restore: periodic mempool.ckpt.v1 images are written
+/// with write_file_atomic, so a crash at any moment leaves either the
+/// previous complete image or the new one, never a torn file; --restore
+/// resumes from such an image and the finished point is bit-identical to an
+/// uninterrupted run. Images are keyed by the point's request key, so an
+/// image of a different point (another λ, seed, topology...) cannot resume
+/// this one. Exits(2) with a message when the restore image is unreadable,
+/// corrupt or keyed for another point.
 TrafficPoint run_checkpointed_point(const BenchOptions& opts,
-                                    const TrafficExperimentConfig& cfg,
-                                    TrafficCounters* counters_out = nullptr);
+                                    const TrafficExperimentConfig& cfg);
 
 /// Write the mempool.bench.v1 envelope to opts.json_path (no-op when the
 /// results file is disabled); prints the path to stderr.

@@ -12,27 +12,24 @@
 //     "results": { ... bench-specific ... }
 //   }
 //
-// Traffic sweeps embed the sweep schema `mempool.sweep.v3` under "results"
-// (or as a named sub-object): one record per point carrying the full config
-// axes and the measured TrafficPoint, so trajectories are self-describing.
-// The topology and the memory system are self-describing `{name, params}`
-// specs resolved against their registries on read:
+// Traffic sweeps embed the sweep schema `mempool.sweep.v4` under "results"
+// (or as a named sub-object). A point is the same {request, result} pair a
+// service cache file holds: the request's canonical form
+// (serve::SimRequest::to_json, topology and memory system as
+// self-describing {name, params} specs) and the serve::SimResult that
+// answers it, keyed by the request's content hash:
 //
 //   {
-//     "schema": "mempool.sweep.v3",
+//     "schema": "mempool.sweep.v4",
 //     "threads": 8,
 //     "wall_seconds": 12.3,
 //     "points": [
-//       {"topology": {"name": "TopH", "params": {}},
-//        "memory": {"name": "tcdm", "params": {}},
-//        "scrambling": false, "num_tiles": 64,
-//        "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
-//        "seq_region_bytes": 4096, "num_groups": 4,
-//        "lambda": 0.33, "p_local": 0.25, "seed": 1, "engine": "active",
-//        "warmup_cycles": 1000, "measure_cycles": 4000, "drain_cycles": 2000,
-//        "offered": 0.33, "generated": 0.331, "accepted": 0.329,
-//        "avg_latency": 5.9, "p95_latency": 11.0, "max_latency": 55.0,
-//        "completed": 338000},
+//       {"request": {"topology": {"name": "TopH", "params": {}},
+//                    "memory": {"name": "tcdm", "params": {}},
+//                    "scrambling": true, "num_tiles": 64, ...,
+//                    "lambda": 0.33, "p_local": 0.25, "seed": 1, ...},
+//        "result": {"request_key": "aba721cccfd19421",
+//                   "offered": 0.33, "accepted": 0.3292470703125, ...}},
 //       ...
 //     ]
 //   }
@@ -48,12 +45,15 @@
 
 namespace mempool::runner {
 
-/// Serialize a sweep result (schema mempool.sweep.v3).
+/// Serialize a sweep result (schema mempool.sweep.v4).
 Json sweep_to_json(const SweepResult& result);
 
-/// Inverse of sweep_to_json. Throws CheckError on schema violations and
-/// unknown topology / memory-system / engine names (the error lists the
-/// registered ones).
+/// Inverse of sweep_to_json: each point's request goes through
+/// SimRequest::from_json and validate(), its result through
+/// SimResult::from_json. Throws CheckError on any other schema (v3
+/// included), on a request the service would reject (unknown topology /
+/// memory-system / engine names list the registered ones), and on a result
+/// whose request_key is not its request's key().
 SweepResult sweep_from_json(const Json& j);
 
 /// Parsed scheduler-speedup artifact (micro_sim_speed --speedup_json,

@@ -5,29 +5,21 @@
 
 #include "runner/parallel.hpp"
 #include "runner/thread_pool.hpp"
-#include "serve/request.hpp"
 
 namespace mempool::runner {
 
-SweepResult run_points(const std::vector<TrafficExperimentConfig>& configs,
+SweepResult run_points(std::vector<serve::SimRequest> requests,
                        const RunnerOptions& opts) {
   SweepResult result;
-  result.configs = configs;
+  result.requests = std::move(requests);
 
   ThreadPool pool(opts.threads);
   result.threads = pool.num_threads();
 
   const auto t0 = std::chrono::steady_clock::now();
-  // Batch execution goes through the same serve::run_point entry the
-  // simulation server uses, so CLI sweeps and served requests are one code
-  // path (and provably bit-identical).
-  result.points = run_indexed(
-      pool, configs.size(),
-      [&](std::size_t i) {
-        return serve::run_point(
-                   serve::SimRequest::from_config(result.configs[i]))
-            .point;
-      },
+  result.results = run_indexed(
+      pool, result.requests.size(),
+      [&](std::size_t i) { return serve::run_point(result.requests[i]); },
       opts.progress ? std::function<void(std::size_t)>([](std::size_t) {
         std::fputc('.', stderr);
         std::fflush(stderr);
@@ -41,7 +33,7 @@ SweepResult run_points(const std::vector<TrafficExperimentConfig>& configs,
 }
 
 SweepResult run_sweep(const SweepSpec& spec, const RunnerOptions& opts) {
-  return run_points(spec.expand(), opts);
+  return run_points(spec.expand_requests(), opts);
 }
 
 }  // namespace mempool::runner

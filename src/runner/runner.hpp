@@ -1,7 +1,9 @@
 #pragma once
 // Parallel experiment runner: shards the independent simulation points of a
-// SweepSpec (or any explicit config list) across host cores with the
-// ThreadPool.
+// SweepSpec (or any explicit request list) across host cores with the
+// ThreadPool. Every point runs through serve::run_point, the entry the
+// simulation server uses, so a sweep point and a served point are one code
+// path and carry the same identity (the request and its content-hash key).
 //
 // Determinism contract: run_traffic_point owns all of its mutable state
 // (Engine, Cluster, generators, per-point RNG streams keyed by cfg.seed), so
@@ -13,7 +15,7 @@
 #include <vector>
 
 #include "runner/sweep.hpp"
-#include "traffic/experiment.hpp"
+#include "serve/request.hpp"
 
 namespace mempool::runner {
 
@@ -25,8 +27,8 @@ struct RunnerOptions {
 };
 
 struct SweepResult {
-  std::vector<TrafficExperimentConfig> configs;  ///< Expanded points, in order.
-  std::vector<TrafficPoint> points;              ///< points[i] ≡ configs[i].
+  std::vector<serve::SimRequest> requests;  ///< The points run, in order.
+  std::vector<serve::SimResult> results;    ///< results[i] answers requests[i].
   unsigned threads = 1;      ///< Worker count actually used.
   double wall_seconds = 0;   ///< Wall-clock time of the parallel section.
 };
@@ -34,8 +36,8 @@ struct SweepResult {
 /// Run every point of @p spec in parallel.
 SweepResult run_sweep(const SweepSpec& spec, const RunnerOptions& opts = {});
 
-/// Run an explicit config list in parallel (result order = input order).
-SweepResult run_points(const std::vector<TrafficExperimentConfig>& configs,
+/// Run an explicit request list in parallel (result order = input order).
+SweepResult run_points(std::vector<serve::SimRequest> requests,
                        const RunnerOptions& opts = {});
 
 }  // namespace mempool::runner

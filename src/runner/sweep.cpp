@@ -55,15 +55,6 @@ std::vector<serve::SimRequest> SweepSpec::expand_requests() const {
   return out;
 }
 
-std::vector<TrafficExperimentConfig> SweepSpec::expand() const {
-  std::vector<TrafficExperimentConfig> out;
-  out.reserve(num_points());
-  for (const serve::SimRequest& req : expand_requests()) {
-    out.push_back(req.config);
-  }
-  return out;
-}
-
 std::string SweepSpec::point_label(std::size_t i) const {
   MEMPOOL_CHECK_MSG(i < num_points(), "sweep point index out of range");
   const std::size_t ns = axis(seeds.size());

@@ -1,7 +1,7 @@
 #pragma once
 // SweepSpec: a cartesian grid over the experiment axes of Figs. 5-7 —
 // topology, memory system, offered load λ, locality p_local, and seed —
-// expanded into the flat list of TrafficExperimentConfig points the parallel
+// expanded into the flat list of serve::SimRequest points the parallel
 // runner executes.
 //
 // Expansion order is fixed and row-major (topology ▸ memory ▸ p_local ▸ λ ▸
@@ -50,10 +50,6 @@ struct SweepSpec {
   ///           * |seeds| + s
   /// with each factor clamped to >= 1 for empty axes.
   std::vector<serve::SimRequest> expand_requests() const;
-
-  /// expand_requests() unwrapped to the raw experiment configs (the legacy
-  /// shape the runner and result writers consume). Same order.
-  std::vector<TrafficExperimentConfig> expand() const;
 
   /// Human-readable label of point @p i ("TopH λ=0.33 p=0.25 seed=1").
   std::string point_label(std::size_t i) const;

@@ -1,13 +1,9 @@
 #include "serve/cache.hpp"
 
-#include <unistd.h>
-
 #include <filesystem>
-#include <sstream>
-#include <thread>
 
 #include "common/check.hpp"
-#include "runner/results.hpp"
+#include "common/file_io.hpp"
 
 namespace mempool::serve {
 
@@ -68,10 +64,9 @@ std::optional<SimResult> ResultCache::disk_lookup(
   const std::string path = disk_path(req);
   std::optional<SimResult> result;
   bool io_error = false;
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec) && !ec) {
+  if (const std::optional<std::string> text = read_file(path)) {
     try {
-      const Json doc = runner::read_json_file(path);
+      const Json doc = Json::parse(*text);
       if (doc.get("schema", Json("")).as_string() == "mempool.simcache.v1" &&
           doc.get("version", Json("")).as_string() == kResultVersion &&
           doc.at("request").dump(0) == canonical) {
@@ -89,6 +84,11 @@ std::optional<SimResult> ResultCache::disk_lookup(
       // A corrupt or half-written file is a miss, never a crash.
       io_error = true;
     }
+  } else {
+    // An absent file is a plain miss; one that exists but cannot be opened
+    // is an I/O error.
+    std::error_code ec;
+    io_error = std::filesystem::exists(path, ec);
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (io_error) ++stats_.disk_errors;
@@ -117,20 +117,10 @@ void ResultCache::insert(const SimRequest& req, const SimResult& result) {
   doc.set("version", kResultVersion);
   doc.set("request", req.to_json());
   doc.set("result", result.to_json());
-  // Write-temp-then-rename: with the write un-serialized, a concurrent
-  // lookup (or a same-key writer — identical bytes, results being
-  // deterministic) must only ever observe complete files.
-  const std::string path = disk_path(req);
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << ::getpid() << "."
-           << std::this_thread::get_id();
-  const std::string tmp = tmp_name.str();
-  try {
-    runner::write_json_file(tmp, doc);
-    std::filesystem::rename(tmp, path);
-  } catch (const std::exception&) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
+  // Atomic write: with the write un-serialized, a concurrent lookup (or a
+  // same-key writer — identical bytes, results being deterministic) must
+  // only ever observe complete files.
+  if (!write_file_atomic(disk_path(req), doc.dump(2) + '\n')) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.disk_errors;  // cannot persist — still serve from memory
   }

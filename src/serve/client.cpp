@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <thread>
 
 #include "common/check.hpp"
@@ -21,8 +22,14 @@ ServiceResponse response_from_json(const Json& j) {
     resp.error = j.contains("error") ? j.at("error").as_string()
                                      : "unknown server error";
     resp.kind = j.get("kind", Json("invalid")).as_string();
-    resp.retry_after_ms =
-        static_cast<int>(j.get("retry_after_ms", Json(uint64_t{0})).as_uint());
+    // A hint beyond int would wrap (2^31 reads as a negative wait, 2^32 as
+    // none) and turn a backoff into an immediate retry.
+    const uint64_t retry_after =
+        j.get("retry_after_ms", Json(uint64_t{0})).as_uint();
+    MEMPOOL_CHECK_MSG(retry_after <= INT_MAX,
+                      "response member 'retry_after_ms' ("
+                          << retry_after << ") exceeds " << INT_MAX);
+    resp.retry_after_ms = static_cast<int>(retry_after);
     if (j.contains("liveness")) resp.liveness = j.at("liveness");
     return resp;
   }

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -32,47 +31,8 @@ NetioFaults g_faults;
 std::atomic<uint64_t> g_write_ops{0};
 std::atomic<uint64_t> g_read_ops{0};
 
-/// One-time env seeding: MEMPOOL_NETIO_FAULTS="drop=N,short=N,delay=N:MS".
-/// Unknown keys and malformed numbers are ignored (a typo disables the
-/// fault, it never crashes the daemon).
-void seed_faults_from_env() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    const char* env = std::getenv("MEMPOOL_NETIO_FAULTS");
-    if (env == nullptr || *env == '\0') return;
-    const std::lock_guard<std::mutex> lock(g_faults_mu);
-    NetioFaults f = g_faults;
-    std::string spec(env);
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-      std::size_t comma = spec.find(',', pos);
-      if (comma == std::string::npos) comma = spec.size();
-      const std::string item = spec.substr(pos, comma - pos);
-      pos = comma + 1;
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos) continue;
-      const std::string key = item.substr(0, eq);
-      const std::string val = item.substr(eq + 1);
-      const auto num = [](const std::string& s) -> uint32_t {
-        return static_cast<uint32_t>(std::strtoul(s.c_str(), nullptr, 10));
-      };
-      if (key == "drop") {
-        f.drop_every = num(val);
-      } else if (key == "short") {
-        f.short_write_every = num(val);
-      } else if (key == "delay") {
-        const std::size_t colon = val.find(':');
-        f.delay_every = num(val.substr(0, colon));
-        if (colon != std::string::npos) f.delay_ms = num(val.substr(colon + 1));
-      }
-    }
-    g_faults = f;
-  });
-}
-
-/// The installed schedule, seeded from the environment on first use.
+/// The installed schedule.
 NetioFaults current_faults() {
-  seed_faults_from_env();
   const std::lock_guard<std::mutex> lock(g_faults_mu);
   return g_faults;
 }

@@ -11,12 +11,10 @@ namespace mempool::serve {
 /// Deterministic fault injection for resilience tests: counter-based (the
 /// Nth matching operation faults, process-wide), so a test run with fixed
 /// request counts sees the exact same fault schedule every time. All zeros
-/// (the default) is fault-free production behavior.
-///
-/// Seeded programmatically (set_netio_faults) or from the environment:
-///   MEMPOOL_NETIO_FAULTS="drop=17,short=31,delay=7:5"
-/// meaning every 17th write_all drops the connection, every 31st sends a
-/// short prefix then drops, every 7th read stalls 5 ms first.
+/// (the default) is fault-free production behavior. For example
+/// {drop_every = 17, short_write_every = 31, delay_every = 7, delay_ms = 5}
+/// drops the connection on every 17th write_all, sends a short prefix then
+/// drops on every 31st, and stalls every 7th read by 5 ms first.
 struct NetioFaults {
   uint32_t drop_every = 0;         ///< Every Nth write_all: shutdown + fail.
   uint32_t short_write_every = 0;  ///< Every Nth write_all: partial + fail.

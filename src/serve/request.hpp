@@ -15,14 +15,18 @@
 //               whitespace, or which fields the sender spelled out — and the
 //               content hash over those bytes is a stable cache key.
 //
-//   SimResult   mirrors the measured half of a mempool.sweep.v3 point
-//               (offered/generated/accepted, latency stats, completed) plus
-//               the request key it answers.
+//   SimResult   the measured point (offered/generated/accepted, latency
+//               stats, completed) plus the request key it answers.
 //
 //   run_point() the one entry: validate, simulate, return. Construction /
 //               validation errors surface as CheckError — the CLI harnesses
 //               die loudly exactly as before, while the server catches them
 //               and answers a structured JSON error instead of terminating.
+//
+// The pair is the one identity of a point in every layer that names, stores
+// or resumes one: a mempool.sweep.v4 point and a service cache file both
+// hold {"request": to_json(), "result": SimResult::to_json()}, and
+// checkpoint images are stamped with key().
 //
 // The content hash is salted with kResultVersion; bump it whenever an
 // engine change affects simulation results so every cached result — in
@@ -43,9 +47,9 @@ inline constexpr const char* kResultVersion = "mempool-sim-v1";
 
 struct SimRequest {
   /// Full-fidelity point configuration. The canonical serialization covers
-  /// the same field set as a mempool.sweep.v3 point; CoreConfig / ICache
-  /// timing parameters are not part of it because traffic experiments
-  /// replace the cores with generators (see runner/results.hpp).
+  /// everything that influences a traffic point; CoreConfig / ICache timing
+  /// parameters are not part of it because traffic experiments replace the
+  /// cores with generators.
   TrafficExperimentConfig config;
 
   /// Wall-clock budget in milliseconds, measured from arrival at the
@@ -100,7 +104,7 @@ struct SimRequest {
 
 struct SimResult {
   std::string request_key;  ///< SimRequest::key() this result answers.
-  TrafficPoint point;       ///< The measured sweep-v3 point fields.
+  TrafficPoint point;       ///< The measured point.
 
   bool operator==(const SimResult&) const = default;
 

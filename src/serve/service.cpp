@@ -1,14 +1,10 @@
 #include "serve/service.hpp"
 
-#include <unistd.h>
-
 #include <filesystem>
-#include <fstream>
-#include <optional>
 #include <sstream>
-#include <thread>
 
 #include "common/check.hpp"
+#include "common/file_io.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/engine.hpp"
 #include "sim/snapshot.hpp"
@@ -44,46 +40,6 @@ Json latency_json(const RunningStat& stat, const Histogram& hist) {
   j.set("p50", hist.quantile(0.50));
   j.set("p99", hist.quantile(0.99));
   return j;
-}
-
-/// Entire file as raw bytes; nullopt when it does not exist or cannot be
-/// read. Checkpoint images are binary — no JSON layer.
-std::optional<std::string> read_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return std::move(buf).str();
-}
-
-/// Write-temp-then-rename so a daemon killed mid-write leaves either the
-/// previous complete image or none — never a torn file that a restart would
-/// have to reject.
-bool write_binary_file_atomic(const std::string& path,
-                              const std::string& data) {
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << ::getpid() << "."
-           << std::this_thread::get_id();
-  const std::string tmp = tmp_name.str();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    if (!out.good()) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -197,7 +153,7 @@ void SimService::compute(const std::shared_ptr<Inflight>& entry,
 
     std::string image;  // must outlive run_point (restore_from borrows it)
     if (!ckpt_file.empty()) {
-      if (auto on_disk = read_binary_file(ckpt_file)) {
+      if (auto on_disk = read_file(ckpt_file)) {
         // A previous daemon died mid-point. Validate the image fully
         // (magic, CRC, length, key) before trusting it; a torn or foreign
         // file is deleted and the point starts cold.
@@ -216,7 +172,7 @@ void SimService::compute(const std::shared_ptr<Inflight>& entry,
       }
       ckpt.on_checkpoint = [this, &ckpt_file](uint64_t /*cycle*/,
                                               const std::string& img) {
-        if (write_binary_file_atomic(ckpt_file, img)) {
+        if (write_file_atomic(ckpt_file, img)) {
           std::lock_guard<std::mutex> lock(metrics_mu_);
           ++checkpoints_;
         }

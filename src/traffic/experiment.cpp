@@ -169,16 +169,4 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
   return p;
 }
 
-std::vector<TrafficPoint> sweep_load(const TrafficExperimentConfig& base,
-                                     const std::vector<double>& loads) {
-  std::vector<TrafficPoint> out;
-  out.reserve(loads.size());
-  for (double l : loads) {
-    TrafficExperimentConfig cfg = base;
-    cfg.lambda = l;
-    out.push_back(run_traffic_point(cfg));
-  }
-  return out;
-}
-
 }  // namespace mempool

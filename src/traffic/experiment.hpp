@@ -7,7 +7,6 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/cluster_config.hpp"
 #include "sim/shard.hpp"
@@ -108,7 +107,7 @@ struct CheckpointOptions {
   const std::string* restore_from = nullptr;
   /// Receives each periodic snapshot, already serialized. The image is
   /// complete and self-validating (CRC-sealed); persist it with
-  /// write-then-rename for crash atomicity.
+  /// write_file_atomic (common/file_io.hpp) for crash atomicity.
   std::function<void(uint64_t cycle, const std::string& image)> on_checkpoint;
   /// Polled at every chunk boundary; return true to abort the point with
   /// PointAborted instead of running to completion.
@@ -138,11 +137,5 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& cfg,
 TrafficPoint run_traffic_point(const TrafficExperimentConfig& cfg,
                                const CheckpointOptions& ckpt,
                                TrafficCounters* counters_out = nullptr);
-
-/// Sweep λ over @p loads with otherwise fixed parameters, one point after
-/// another on the calling thread. This is the serial reference path; use
-/// runner::run_sweep to shard a grid across cores.
-std::vector<TrafficPoint> sweep_load(const TrafficExperimentConfig& base,
-                                     const std::vector<double>& loads);
 
 }  // namespace mempool

@@ -74,6 +74,48 @@ TEST(Histogram, QuantileMedianOfUniform) {
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
 }
 
+TEST(Histogram, StoresBucketsOnlyUpToTheHighestWritten) {
+  // The service's latency histograms: 10 µs buckets up to 10 s. Samples
+  // below 1 ms touch only the first 100 buckets, so no more are held.
+  Histogram h(0.01, 1'000'000);
+  for (int i = 0; i < 1000; ++i) h.add(0.999 * i / 1000.0);
+  EXPECT_LE(h.buckets().size(), 100u);
+  EXPECT_EQ(h.num_buckets(), 1'000'000u);
+  EXPECT_EQ(h.count(), 1000u);
+  EXPECT_EQ(h.overflow(), 0u);
+}
+
+TEST(Histogram, UnstoredBucketsAnswerAsZeros) {
+  // Same answers as a histogram holding all of its logical buckets: the
+  // quantile scan, overflow at the top edge, the JSON form, absorb and
+  // restore, including when no bucket is stored at all.
+  Histogram only_overflow(1.0, 10);
+  only_overflow.add(50.0);
+  EXPECT_DOUBLE_EQ(only_overflow.quantile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(only_overflow.quantile(1.0), 10.0);
+  EXPECT_EQ(only_overflow.to_json().at("counts").size(), 0u);
+
+  Histogram low(1.0, 10);
+  low.add(0.5);
+  Histogram high(1.0, 10);
+  high.add(7.5);
+  high.add(99.0);
+  low.absorb(high);
+  EXPECT_EQ(low.count(), 3u);
+  EXPECT_EQ(low.overflow(), 1u);
+  EXPECT_EQ(low.to_json().at("counts").size(), 8u);
+  EXPECT_DOUBLE_EQ(low.quantile(0.5), 7.5);
+
+  std::vector<uint64_t> all(10, 0);
+  all[2] = 4;
+  Histogram restored(1.0, 10);
+  restored.restore(all, 4, 0);
+  EXPECT_EQ(restored.buckets().size(), 3u);
+  EXPECT_DOUBLE_EQ(restored.quantile(0.5), 2.5);
+  EXPECT_THROW(restored.restore(std::vector<uint64_t>(3, 0), 0, 0),
+               CheckError);
+}
+
 TEST(Histogram, BadConstructionThrows) {
   EXPECT_THROW(Histogram(0.0, 10), CheckError);
   EXPECT_THROW(Histogram(1.0, 0), CheckError);

@@ -13,6 +13,7 @@
 #include "common/stats.hpp"
 #include "runner/results.hpp"
 #include "runner/runner.hpp"
+#include "serve/request.hpp"
 
 using namespace mempool;
 using namespace mempool::runner;
@@ -165,59 +166,96 @@ TEST(SweepJson, SweepRoundTripsBitIdentical) {
   const SweepResult back = sweep_from_json(doc);
 
   EXPECT_EQ(back.threads, original.threads);
-  ASSERT_EQ(back.points.size(), original.points.size());
-  for (std::size_t i = 0; i < original.points.size(); ++i) {
-    EXPECT_EQ(back.points[i], original.points[i]) << "point " << i;
-    EXPECT_EQ(back.configs[i].cluster.topology,
-              original.configs[i].cluster.topology);
-    EXPECT_EQ(back.configs[i].cluster.num_tiles,
-              original.configs[i].cluster.num_tiles);
-    EXPECT_EQ(back.configs[i].seed, original.configs[i].seed);
-    EXPECT_EQ(back.configs[i].lambda, original.configs[i].lambda);
-    EXPECT_EQ(back.configs[i].measure_cycles,
-              original.configs[i].measure_cycles);
+  ASSERT_EQ(back.results.size(), original.results.size());
+  ASSERT_EQ(back.requests.size(), original.requests.size());
+  for (std::size_t i = 0; i < original.results.size(); ++i) {
+    EXPECT_EQ(back.results[i], original.results[i]) << "point " << i;
+    EXPECT_EQ(back.requests[i], original.requests[i]) << "point " << i;
   }
 }
 
-TEST(SweepJson, WritesV3WithSelfDescribingTopologyAndMemory) {
+TEST(SweepJson, WritesV4RequestResultPairs) {
   const SweepResult original = small_sweep();
   const Json doc = sweep_to_json(original);
-  EXPECT_EQ(doc.at("schema").as_string(), "mempool.sweep.v3");
+  EXPECT_EQ(doc.at("schema").as_string(), "mempool.sweep.v4");
   const Json& first = doc.at("points").at(0);
-  EXPECT_TRUE(first.at("topology").is_object());
-  EXPECT_EQ(first.at("topology").at("name").as_string(), "Top1");
-  EXPECT_TRUE(first.at("topology").at("params").is_object());
-  EXPECT_TRUE(first.at("memory").is_object());
-  EXPECT_EQ(first.at("memory").at("name").as_string(), "tcdm");
-  EXPECT_TRUE(first.at("memory").at("params").is_object());
+  EXPECT_EQ(first.size(), 2u);  // {request, result}, nothing else
+  EXPECT_EQ(first.at("request").dump(0), original.requests[0].canonical());
+  EXPECT_EQ(first.at("result").dump(0), original.results[0].to_json().dump(0));
+  const Json& topo = first.at("request").at("topology");
+  EXPECT_EQ(topo.at("name").as_string(), "Top1");
+  EXPECT_TRUE(topo.at("params").is_object());
+  const Json& mem = first.at("request").at("memory");
+  EXPECT_EQ(mem.at("name").as_string(), "tcdm");
+  EXPECT_TRUE(mem.at("params").is_object());
+  // The result is keyed as run_point keys the request the record names.
+  const serve::SimRequest req =
+      serve::SimRequest::from_json(first.at("request"));
+  EXPECT_EQ(first.at("result").at("request_key").as_string(),
+            serve::run_point(req).request_key);
 }
 
 TEST(SweepJson, MemorySpecParamsRoundTrip) {
   SweepResult original = small_sweep();
-  for (auto& cfg : original.configs) {
-    cfg.cluster.memory =
+  for (std::size_t i = 0; i < original.requests.size(); ++i) {
+    original.requests[i].config.cluster.memory =
         MemorySpec{"tcdm+l2", {{"l2_latency", Json(uint64_t{11})}}};
+    original.results[i].request_key = original.requests[i].key();
   }
   const SweepResult back =
       sweep_from_json(Json::parse(sweep_to_json(original).dump(2)));
-  ASSERT_EQ(back.configs.size(), original.configs.size());
-  EXPECT_EQ(back.configs[0].cluster.memory, original.configs[0].cluster.memory);
-  EXPECT_EQ(back.configs[0].cluster.memory.param_uint("l2_latency", 0), 11u);
+  ASSERT_EQ(back.requests.size(), original.requests.size());
+  const MemorySpec& mem = back.requests[0].config.cluster.memory;
+  EXPECT_EQ(mem, original.requests[0].config.cluster.memory);
+  EXPECT_EQ(mem.param_uint("l2_latency", 0), 11u);
+}
+
+namespace {
+
+/// @p doc with point 0's request member @p member replaced by @p value
+/// (Json has no mutable at(), so the points array is rebuilt).
+Json with_request_member(Json doc, const std::string& member,
+                         const Json& value) {
+  Json points = Json::array();
+  for (std::size_t i = 0; i < doc.at("points").size(); ++i) {
+    Json rec = doc.at("points").at(i);
+    if (i == 0) {
+      Json req = rec.at("request");
+      req.set(member, value);
+      rec.set("request", std::move(req));
+    }
+    points.push_back(std::move(rec));
+  }
+  doc.set("points", std::move(points));
+  return doc;
+}
+
+}  // namespace
+
+TEST(SweepJson, RejectsAResultKeyedForAnotherRequest) {
+  const Json doc = sweep_to_json(small_sweep());
+  // λ 0.1 -> 0.2 keeps the record well formed but changes the request's
+  // key, so the stored result no longer answers it.
+  const Json bad = with_request_member(doc, "lambda", Json(0.2));
+  try {
+    sweep_from_json(bad);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("sweep point 0"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(doc.at("points").at(0).at("result").at("request_key")
+                           .as_string()),
+              std::string::npos)
+        << msg;
+  }
 }
 
 TEST(SweepJson, RejectsUnknownMemoryNamingAvailable) {
   const SweepResult original = small_sweep();
-  Json doc = sweep_to_json(original);
   Json mem = Json::object();
   mem.set("name", "l9-cache");
   mem.set("params", Json::object());
-  Json points = Json::array();
-  for (std::size_t i = 0; i < doc.at("points").size(); ++i) {
-    Json rec = doc.at("points").at(i);
-    if (i == 0) rec.set("memory", mem);
-    points.push_back(std::move(rec));
-  }
-  doc.set("points", std::move(points));
+  const Json doc = with_request_member(sweep_to_json(original), "memory", mem);
   try {
     sweep_from_json(doc);
     FAIL() << "expected CheckError";
@@ -230,19 +268,12 @@ TEST(SweepJson, RejectsUnknownMemoryNamingAvailable) {
 
 TEST(SweepJson, RejectsUnknownTopologyNamingAvailable) {
   const SweepResult original = small_sweep();
-  Json doc = sweep_to_json(original);
   // Corrupt the first point's topology name.
   Json topo = Json::object();
   topo.set("name", "TopZ");
   topo.set("params", Json::object());
-  // Rebuild the document with the bad record (Json has no mutable at()).
-  Json points = Json::array();
-  for (std::size_t i = 0; i < doc.at("points").size(); ++i) {
-    Json rec = doc.at("points").at(i);
-    if (i == 0) rec.set("topology", topo);
-    points.push_back(std::move(rec));
-  }
-  doc.set("points", std::move(points));
+  const Json doc =
+      with_request_member(sweep_to_json(original), "topology", topo);
   try {
     sweep_from_json(doc);
     FAIL() << "expected CheckError";
@@ -254,10 +285,11 @@ TEST(SweepJson, RejectsUnknownTopologyNamingAvailable) {
 }
 
 TEST(SweepJson, RejectsWrongSchema) {
-  // Only mempool.sweep.v3 is read; the pre-memory-registry v2 and the
-  // bare-topology-name v1 layouts are rejected like any other schema.
-  for (const char* schema :
-       {"something.else.v9", "mempool.sweep.v2", "mempool.sweep.v1"}) {
+  // Only mempool.sweep.v4 is read; the flat-record v3, the
+  // pre-memory-registry v2 and the bare-topology-name v1 layouts are
+  // rejected like any other schema.
+  for (const char* schema : {"something.else.v9", "mempool.sweep.v3",
+                             "mempool.sweep.v2", "mempool.sweep.v1"}) {
     Json doc = Json::object();
     doc.set("schema", schema);
     EXPECT_THROW(sweep_from_json(doc), CheckError) << schema;
@@ -277,9 +309,9 @@ TEST(SweepJson, FileWriterRoundTrips) {
   const std::string path = ::testing::TempDir() + "/mempool_sweep_rt.json";
   write_json_file(path, sweep_to_json(original));
   const SweepResult back = sweep_from_json(read_json_file(path));
-  ASSERT_EQ(back.points.size(), original.points.size());
-  for (std::size_t i = 0; i < original.points.size(); ++i)
-    EXPECT_EQ(back.points[i], original.points[i]);
+  ASSERT_EQ(back.results.size(), original.results.size());
+  for (std::size_t i = 0; i < original.results.size(); ++i)
+    EXPECT_EQ(back.results[i], original.results[i]);
   std::remove(path.c_str());
 }
 
@@ -349,66 +381,69 @@ TEST(SweepJson, ShardedEngineRoundTrips) {
   cfg.sim_threads = 8;
   cfg.lambda = 0.1;
   runner::SweepResult res;
-  res.configs = {cfg};
-  res.points = {TrafficPoint{}};
+  res.requests = {serve::SimRequest::from_config(cfg)};
+  res.results = {serve::SimResult{res.requests[0].key(), TrafficPoint{}}};
   const runner::SweepResult back =
       runner::sweep_from_json(runner::sweep_to_json(res));
-  ASSERT_EQ(back.configs.size(), 1u);
-  EXPECT_EQ(back.configs[0].engine, EngineMode::kSharded);
-  EXPECT_EQ(back.configs[0].sim_threads, 8u);
+  ASSERT_EQ(back.requests.size(), 1u);
+  EXPECT_EQ(back.requests[0].config.engine, EngineMode::kSharded);
+  EXPECT_EQ(back.requests[0].config.sim_threads, 8u);
 
-  // A v3 file pinned verbatim: topology params, every engine name, and the
-  // measured values parse exactly, and the writer round-trips the result.
-  const std::string v3 = R"({
-    "schema": "mempool.sweep.v3",
+  // A v4 file pinned verbatim: topology params, every engine name, the
+  // request keys and the measured values parse exactly, and the writer
+  // reproduces the points member for member.
+  const std::string v4 = R"({
+    "schema": "mempool.sweep.v4",
     "threads": 4,
     "wall_seconds": 1.25,
     "points": [
-      {"topology": {"name": "TopH2", "params": {"supergroups": 4}},
-       "memory": {"name": "tcdm", "params": {}},
-       "scrambling": false, "num_tiles": 256,
-       "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
-       "seq_region_bytes": 4096, "num_groups": 16,
-       "lambda": 0.1, "p_local": 0.0, "seed": 3, "engine": "sharded",
-       "sim_threads": 4,
-       "warmup_cycles": 100, "measure_cycles": 400, "drain_cycles": 200,
-       "offered": 0.1, "generated": 0.0999, "accepted": 0.0998,
-       "avg_latency": 6.5, "p95_latency": 12.0, "max_latency": 40.0,
-       "completed": 10240},
-      {"topology": {"name": "TopH", "params": {}},
-       "memory": {"name": "tcdm", "params": {}},
-       "scrambling": true, "num_tiles": 16,
-       "cores_per_tile": 4, "banks_per_tile": 16, "bank_bytes": 1024,
-       "seq_region_bytes": 4096, "num_groups": 4,
-       "lambda": 0.25, "p_local": 0.5, "seed": 7, "engine": "dense",
-       "warmup_cycles": 50, "measure_cycles": 200, "drain_cycles": 100,
-       "offered": 0.25, "generated": 0.251, "accepted": 0.249,
-       "avg_latency": 4.125, "p95_latency": 9.0, "max_latency": 31.0,
-       "completed": 3210}
+      {"request": {"topology": {"name": "TopH2", "params": {"supergroups": 4}},
+                   "memory": {"name": "tcdm", "params": {}},
+                   "scrambling": false, "num_tiles": 256,
+                   "cores_per_tile": 4, "banks_per_tile": 16,
+                   "bank_bytes": 1024, "seq_region_bytes": 4096,
+                   "num_groups": 16, "lambda": 0.1, "p_local": 0.0,
+                   "seed": 3, "engine": "sharded", "sim_threads": 4,
+                   "warmup_cycles": 100, "measure_cycles": 400,
+                   "drain_cycles": 200, "stall_horizon": 0},
+       "result": {"request_key": "ecbcef30539973d5",
+                  "offered": 0.1, "generated": 0.0999, "accepted": 0.0998,
+                  "avg_latency": 6.5, "p95_latency": 12.0,
+                  "max_latency": 40.0, "completed": 10240}},
+      {"request": {"topology": {"name": "TopH", "params": {}},
+                   "memory": {"name": "tcdm", "params": {}},
+                   "scrambling": true, "num_tiles": 16,
+                   "cores_per_tile": 4, "banks_per_tile": 16,
+                   "bank_bytes": 1024, "seq_region_bytes": 4096,
+                   "num_groups": 4, "lambda": 0.25, "p_local": 0.5,
+                   "seed": 7, "engine": "dense", "sim_threads": 1,
+                   "warmup_cycles": 50, "measure_cycles": 200,
+                   "drain_cycles": 100, "stall_horizon": 0},
+       "result": {"request_key": "5730f8ef5c78cde3",
+                  "offered": 0.25, "generated": 0.251, "accepted": 0.249,
+                  "avg_latency": 4.125, "p95_latency": 9.0,
+                  "max_latency": 31.0, "completed": 3210}}
     ]
   })";
-  const SweepResult pinned = sweep_from_json(Json::parse(v3));
-  ASSERT_EQ(pinned.points.size(), 2u);
-  EXPECT_EQ(pinned.configs[0].cluster.topology,
+  const Json doc = Json::parse(v4);
+  const SweepResult pinned = sweep_from_json(doc);
+  ASSERT_EQ(pinned.results.size(), 2u);
+  const TrafficExperimentConfig& p0 = pinned.requests[0].config;
+  const TrafficExperimentConfig& p1 = pinned.requests[1].config;
+  EXPECT_EQ(p0.cluster.topology,
             (TopologySpec{"TopH2", {{"supergroups", Json(uint64_t{4})}}}));
-  EXPECT_EQ(pinned.configs[0].engine, EngineMode::kSharded);
-  EXPECT_EQ(pinned.configs[0].sim_threads, 4u);
-  EXPECT_EQ(pinned.configs[1].cluster.topology, TopologySpec{"TopH"});
-  EXPECT_TRUE(pinned.configs[1].cluster.scrambling);
-  EXPECT_EQ(pinned.configs[1].engine, EngineMode::kDense);
-  EXPECT_EQ(pinned.configs[1].seed, 7u);
-  EXPECT_DOUBLE_EQ(pinned.points[1].avg_latency, 4.125);
-  EXPECT_EQ(pinned.points[1].completed, 3210u);
-  const SweepResult again = sweep_from_json(sweep_to_json(pinned));
-  ASSERT_EQ(again.points.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(again.points[i], pinned.points[i]) << "point " << i;
-    EXPECT_EQ(again.configs[i].cluster.topology,
-              pinned.configs[i].cluster.topology);
-    EXPECT_EQ(again.configs[i].cluster.memory,
-              pinned.configs[i].cluster.memory);
-    EXPECT_EQ(again.configs[i].engine, pinned.configs[i].engine);
-  }
+  EXPECT_EQ(p0.engine, EngineMode::kSharded);
+  EXPECT_EQ(p0.sim_threads, 4u);
+  EXPECT_EQ(p1.cluster.topology, TopologySpec{"TopH"});
+  EXPECT_TRUE(p1.cluster.scrambling);
+  EXPECT_EQ(p1.engine, EngineMode::kDense);
+  EXPECT_EQ(p1.seed, 7u);
+  EXPECT_EQ(pinned.results[0].request_key, "ecbcef30539973d5");
+  EXPECT_EQ(pinned.results[1].request_key, "5730f8ef5c78cde3");
+  EXPECT_DOUBLE_EQ(pinned.results[1].point.avg_latency, 4.125);
+  EXPECT_EQ(pinned.results[1].point.completed, 3210u);
+  EXPECT_EQ(sweep_to_json(pinned).at("points").dump(0),
+            doc.at("points").dump(0));
 }
 
 TEST(SweepJson, OverRangeIntegersAreRejectedNamingTheMember) {
@@ -417,8 +452,8 @@ TEST(SweepJson, OverRangeIntegersAreRejectedNamingTheMember) {
   TrafficExperimentConfig cfg;
   cfg.cluster = ClusterConfig::mini("TopH", false);
   runner::SweepResult res;
-  res.configs = {cfg};
-  res.points = {TrafficPoint{}};
+  res.requests = {serve::SimRequest::from_config(cfg)};
+  res.results = {serve::SimResult{res.requests[0].key(), TrafficPoint{}}};
   const Json doc = runner::sweep_to_json(res);
   const Json over(uint64_t{4294967312});
   auto expect_rejected = [](const Json& bad, const char* member) {
@@ -433,13 +468,7 @@ TEST(SweepJson, OverRangeIntegersAreRejectedNamingTheMember) {
   for (const char* member :
        {"num_tiles", "cores_per_tile", "banks_per_tile", "bank_bytes",
         "seq_region_bytes", "num_groups", "sim_threads"}) {
-    Json rec = doc.at("points").at(0);
-    rec.set(member, over);
-    Json points = Json::array();
-    points.push_back(std::move(rec));
-    Json bad = doc;
-    bad.set("points", std::move(points));
-    expect_rejected(bad, member);
+    expect_rejected(with_request_member(doc, member, over), member);
   }
   Json bad = doc;
   bad.set("threads", over);

@@ -36,13 +36,13 @@ TEST(SweepSpec, NumPointsIsTheAxisProduct) {
 
   SweepSpec empty;
   EXPECT_EQ(empty.num_points(), 1u);  // every axis defaults to the base value
-  ASSERT_EQ(empty.expand().size(), 1u);
+  ASSERT_EQ(empty.expand_requests().size(), 1u);
 }
 
 TEST(SweepSpec, ExpandIsRowMajorWithSeedInnermost) {
   const SweepSpec spec = test_spec();
-  const auto cfgs = spec.expand();
-  ASSERT_EQ(cfgs.size(), spec.num_points());
+  const auto reqs = spec.expand_requests();
+  ASSERT_EQ(reqs.size(), spec.num_points());
 
   // i = ((t * |p| + p) * |l| + l) * |s| + s
   std::size_t i = 0;
@@ -50,10 +50,11 @@ TEST(SweepSpec, ExpandIsRowMajorWithSeedInnermost) {
     for (double pl : spec.p_locals) {
       for (double lambda : spec.lambdas) {
         for (uint64_t seed : spec.seeds) {
-          EXPECT_EQ(cfgs[i].cluster.topology, topo) << "point " << i;
-          EXPECT_DOUBLE_EQ(cfgs[i].p_local_seq, pl) << "point " << i;
-          EXPECT_DOUBLE_EQ(cfgs[i].lambda, lambda) << "point " << i;
-          EXPECT_EQ(cfgs[i].seed, seed) << "point " << i;
+          const TrafficExperimentConfig& cfg = reqs[i].config;
+          EXPECT_EQ(cfg.cluster.topology, topo) << "point " << i;
+          EXPECT_DOUBLE_EQ(cfg.p_local_seq, pl) << "point " << i;
+          EXPECT_DOUBLE_EQ(cfg.lambda, lambda) << "point " << i;
+          EXPECT_EQ(cfg.seed, seed) << "point " << i;
           ++i;
         }
       }
@@ -69,26 +70,26 @@ TEST(SweepSpec, EmptyAxesInheritTheBaseConfig) {
   spec.base.seed = 99;
   spec.lambdas = {0.1, 0.2};
 
-  const auto cfgs = spec.expand();
-  ASSERT_EQ(cfgs.size(), 2u);
-  for (const auto& c : cfgs) {
-    EXPECT_EQ(c.cluster.topology, "Top4");
-    EXPECT_DOUBLE_EQ(c.p_local_seq, 0.13);
-    EXPECT_EQ(c.seed, 99u);
+  const auto reqs = spec.expand_requests();
+  ASSERT_EQ(reqs.size(), 2u);
+  for (const auto& r : reqs) {
+    EXPECT_EQ(r.config.cluster.topology, "Top4");
+    EXPECT_DOUBLE_EQ(r.config.p_local_seq, 0.13);
+    EXPECT_EQ(r.config.seed, 99u);
   }
-  EXPECT_DOUBLE_EQ(cfgs[0].lambda, 0.1);
-  EXPECT_DOUBLE_EQ(cfgs[1].lambda, 0.2);
+  EXPECT_DOUBLE_EQ(reqs[0].config.lambda, 0.1);
+  EXPECT_DOUBLE_EQ(reqs[1].config.lambda, 0.2);
 }
 
 TEST(SweepSpec, PaperClusterRebuildsPerTopology) {
   SweepSpec spec;
   spec.base.cluster = ClusterConfig::paper("TopH", true);
   spec.topologies = {"Top1", "TopX"};
-  const auto cfgs = spec.expand();
-  ASSERT_EQ(cfgs.size(), 2u);
-  EXPECT_EQ(cfgs[0].cluster.topology, "Top1");
-  EXPECT_TRUE(cfgs[0].cluster.scrambling);  // inherited from base
-  EXPECT_EQ(cfgs[1].cluster.topology, "TopX");
+  const auto reqs = spec.expand_requests();
+  ASSERT_EQ(reqs.size(), 2u);
+  EXPECT_EQ(reqs[0].config.cluster.topology, "Top1");
+  EXPECT_TRUE(reqs[0].config.cluster.scrambling);  // inherited from base
+  EXPECT_EQ(reqs[1].config.cluster.topology, "TopX");
 }
 
 TEST(SweepSpec, PointLabelNamesTheAxes) {
@@ -108,9 +109,9 @@ TEST(Runner, BitIdenticalResultsAcrossThreadCounts) {
   const SweepResult r4 = run_sweep(spec, o4);
   const SweepResult r8 = run_sweep(spec, o8);
 
-  ASSERT_EQ(r1.points.size(), spec.num_points());
-  ASSERT_EQ(r4.points.size(), spec.num_points());
-  ASSERT_EQ(r8.points.size(), spec.num_points());
+  ASSERT_EQ(r1.results.size(), spec.num_points());
+  ASSERT_EQ(r4.results.size(), spec.num_points());
+  ASSERT_EQ(r8.results.size(), spec.num_points());
   EXPECT_EQ(r1.threads, 1u);
   EXPECT_EQ(r4.threads, 4u);
   EXPECT_EQ(r8.threads, 8u);
@@ -118,8 +119,8 @@ TEST(Runner, BitIdenticalResultsAcrossThreadCounts) {
   for (std::size_t i = 0; i < spec.num_points(); ++i) {
     // operator== is exact (bit-wise on the doubles) — scheduling must not
     // leak into the physics.
-    EXPECT_EQ(r1.points[i], r4.points[i]) << spec.point_label(i);
-    EXPECT_EQ(r1.points[i], r8.points[i]) << spec.point_label(i);
+    EXPECT_EQ(r1.results[i], r4.results[i]) << spec.point_label(i);
+    EXPECT_EQ(r1.results[i], r8.results[i]) << spec.point_label(i);
   }
 }
 
@@ -129,9 +130,11 @@ TEST(Runner, ParallelPathMatchesSerialReference) {
   opts.threads = 4;
   const SweepResult par = run_sweep(spec, opts);
 
-  const auto cfgs = spec.expand();
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    EXPECT_EQ(par.points[i], run_traffic_point(cfgs[i]))
+  const auto reqs = spec.expand_requests();
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(par.results[i].point, run_traffic_point(reqs[i].config))
+        << spec.point_label(i);
+    EXPECT_EQ(par.results[i].request_key, reqs[i].key())
         << spec.point_label(i);
   }
 }
@@ -145,14 +148,14 @@ TEST(Runner, SeedAxisActuallyChangesTheRealization) {
   RunnerOptions opts;
   opts.threads = 2;
   const SweepResult r = run_sweep(spec, opts);
-  ASSERT_EQ(r.points.size(), 2u);
-  EXPECT_NE(r.points[0], r.points[1]);
+  ASSERT_EQ(r.results.size(), 2u);
+  EXPECT_NE(r.results[0].point, r.results[1].point);
   // ... but only the realization, not the physics: rates stay close.
-  EXPECT_NEAR(r.points[0].accepted, r.points[1].accepted, 0.02);
+  EXPECT_NEAR(r.results[0].point.accepted, r.results[1].point.accepted, 0.02);
 }
 
 TEST(Runner, RunPointsPreservesInputOrder) {
-  std::vector<TrafficExperimentConfig> cfgs;
+  std::vector<serve::SimRequest> reqs;
   for (double l : {0.3, 0.1, 0.2}) {  // deliberately not sorted
     TrafficExperimentConfig c;
     c.cluster = ClusterConfig::mini("TopH", true);
@@ -160,13 +163,17 @@ TEST(Runner, RunPointsPreservesInputOrder) {
     c.warmup_cycles = 50;
     c.measure_cycles = 200;
     c.drain_cycles = 100;
-    cfgs.push_back(c);
+    reqs.push_back(serve::SimRequest::from_config(c));
   }
   RunnerOptions opts;
   opts.threads = 3;
-  const SweepResult r = run_points(cfgs, opts);
-  ASSERT_EQ(r.points.size(), 3u);
-  EXPECT_DOUBLE_EQ(r.points[0].offered, 0.3);
-  EXPECT_DOUBLE_EQ(r.points[1].offered, 0.1);
-  EXPECT_DOUBLE_EQ(r.points[2].offered, 0.2);
+  const SweepResult r = run_points(reqs, opts);
+  ASSERT_EQ(r.results.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.requests[i], reqs[i]);
+    EXPECT_EQ(r.results[i].request_key, reqs[i].key());
+  }
+  EXPECT_DOUBLE_EQ(r.results[0].point.offered, 0.3);
+  EXPECT_DOUBLE_EQ(r.results[1].point.offered, 0.1);
+  EXPECT_DOUBLE_EQ(r.results[2].point.offered, 0.2);
 }

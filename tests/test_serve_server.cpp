@@ -201,6 +201,30 @@ TEST(SimServer, PipelinedRequestsAllComplete) {
   server.wait();
 }
 
+TEST(ResponseFromJson, RetryAfterBeyondIntIsRejectedNamingTheMember) {
+  auto overloaded = [](uint64_t retry_after_ms) {
+    Json j = Json::object();
+    j.set("ok", false);
+    j.set("kind", "overloaded");
+    j.set("error", "service overloaded");
+    j.set("retry_after_ms", retry_after_ms);
+    return j;
+  };
+  EXPECT_EQ(response_from_json(overloaded(2147483647)).retry_after_ms,
+            2147483647);
+  // 2^31 used to read back as -2^31 and 2^32 as 0: an immediate retry.
+  for (const uint64_t wide : {uint64_t{2147483648}, uint64_t{4294967296}}) {
+    try {
+      response_from_json(overloaded(wide));
+      ADD_FAILURE() << wide << ": expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("retry_after_ms"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(SimServer, StopFromTheOwningThreadAlsoShutsDownCleanly) {
   const std::string path = test_socket("stop");
   SimServer server(server_config(path));

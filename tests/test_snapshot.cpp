@@ -2,9 +2,11 @@
 // primitives, the mempool.ckpt.v1 artifact framing and its corruption
 // detection (truncation, bit flips, zero-byte files), and full-engine
 // save → load → re-save byte-identity on both generator-driven and
-// execution-driven (Snitch + I$ + ROB + DMA) clusters.
+// execution-driven (Snitch + I$ + ROB + DMA) clusters, and the bench CLIs'
+// request-keyed --checkpoint-every / --restore images.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -18,6 +20,7 @@
 #include "kernels/matmul.hpp"
 #include "mem/imem.hpp"
 #include "noc/monitor.hpp"
+#include "runner/bench_cli.hpp"
 #include "sim/engine.hpp"
 #include "sim/snapshot.hpp"
 #include "traffic/experiment.hpp"
@@ -305,6 +308,38 @@ TEST(EngineSnapshot, ExecClusterResumesBitIdentically) {
   EXPECT_EQ(ref->cluster().memory_stats(), res->cluster().memory_stats());
   std::string err;
   EXPECT_TRUE(kp.check(*res, &err)) << err;
+}
+
+TEST(CliCheckpoint, RestoringAnotherPointsImageExitsTwoNamingTheKeyMismatch) {
+  // --checkpoint-every / --restore as traffic_explorer drives them: an
+  // image resumes its own point bit-identically, and an image of a λ=0.2
+  // point restored into a λ=0.3 run is refused instead of finishing a
+  // hybrid of the two.
+  TrafficExperimentConfig cfg;
+  cfg.cluster = ClusterConfig::mini("TopH", false);
+  cfg.lambda = 0.2;
+  cfg.warmup_cycles = 100;
+  cfg.measure_cycles = 400;
+  cfg.drain_cycles = 200;
+  runner::BenchOptions opts;
+  opts.bench_name = "traffic_explorer";
+  opts.progress = false;
+  opts.checkpoint_every = 300;
+  opts.checkpoint_out = ::testing::TempDir() + "/mempool_cli_restore_" +
+                        std::to_string(::getpid()) + ".ckpt";
+  const TrafficPoint uninterrupted = runner::run_checkpointed_point(opts, cfg);
+
+  runner::BenchOptions resume;
+  resume.bench_name = opts.bench_name;
+  resume.progress = false;
+  resume.restore_path = opts.checkpoint_out;
+  EXPECT_EQ(runner::run_checkpointed_point(resume, cfg), uninterrupted);
+
+  TrafficExperimentConfig other = cfg;
+  other.lambda = 0.3;
+  EXPECT_EXIT(runner::run_checkpointed_point(resume, other),
+              ::testing::ExitedWithCode(2), "checkpoint key mismatch");
+  std::filesystem::remove(opts.checkpoint_out);
 }
 
 }  // namespace

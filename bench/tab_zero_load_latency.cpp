@@ -33,9 +33,9 @@ struct Rig {
   explicit Rig(const ClusterConfig& cfg, EngineMode mode)
       : imem(4096), cluster(cfg, &imem) {
     // Probing is one load at a time, so sharded mode runs its shards inline
-    // on this thread (no executor) — still the sharded code path end to end.
+    // on this thread (no helpers) — still the sharded code path end to end.
     if (mode == EngineMode::kSharded) {
-      engine.set_sharded(cluster.num_shards(), nullptr);
+      engine.set_sharded(cluster.num_shards(), 1);
     } else {
       engine.set_dense(mode == EngineMode::kDense);
     }

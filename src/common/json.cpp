@@ -359,9 +359,15 @@ struct Parser {
     return Json(d);
   }
 
-  Json parse_value() {
+  /// @p depth = objects and arrays enclosing this value.
+  Json parse_value(std::size_t depth) {
     skip_ws();
-    switch (peek()) {
+    const char c = peek();
+    if ((c == '{' || c == '[') && depth == Json::kMaxDepth) {
+      fail("nesting deeper than Json::kMaxDepth (" +
+           std::to_string(Json::kMaxDepth) + ") levels");
+    }
+    switch (c) {
       case '{': {
         ++pos;
         Json obj = Json::object();
@@ -372,7 +378,7 @@ struct Parser {
           std::string key = parse_string();
           skip_ws();
           expect(':');
-          obj.set(key, parse_value());
+          obj.set(key, parse_value(depth + 1));
           skip_ws();
           if (peek() == ',') { ++pos; continue; }
           expect('}');
@@ -385,7 +391,7 @@ struct Parser {
         skip_ws();
         if (peek() == ']') { ++pos; return arr; }
         while (true) {
-          arr.push_back(parse_value());
+          arr.push_back(parse_value(depth + 1));
           skip_ws();
           if (peek() == ',') { ++pos; continue; }
           expect(']');
@@ -411,7 +417,7 @@ struct Parser {
 
 Json Json::parse(const std::string& text) {
   Parser p{text};
-  Json v = p.parse_value();
+  Json v = p.parse_value(0);
   p.skip_ws();
   MEMPOOL_CHECK_MSG(p.pos == text.size(),
                     "JSON parse error: trailing characters at offset " << p.pos);

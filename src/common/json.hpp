@@ -8,6 +8,7 @@
 // Deliberately not a general-purpose JSON library: no comments, no \u escapes
 // beyond pass-through ASCII, no streaming. Parse errors throw CheckError.
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -92,7 +93,14 @@ class Json {
   /// Serialize. @p indent > 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = 0) const;
 
-  /// Parse a complete JSON document (trailing garbage is an error).
+  /// Deepest nesting of objects and arrays parse() accepts. The parser
+  /// recurses once per level, so a hostile line of '[' would otherwise
+  /// overflow the stack; no document this project writes nests more than 6
+  /// deep.
+  static constexpr std::size_t kMaxDepth = 64;
+
+  /// Parse a complete JSON document (trailing garbage is an error). Nesting
+  /// deeper than kMaxDepth throws a CheckError naming the limit.
   static Json parse(const std::string& text);
 
  private:

@@ -145,7 +145,7 @@ class Cluster {
 
   /// Shards the fabric plugin partitions this cluster into (1 for the flat
   /// fabrics) and the shard of each tile — what build() hands the engine and
-  /// what callers size per-shard structures (monitors, executors) with.
+  /// what callers size per-shard structures (monitors, the engine's gang) with.
   uint32_t num_shards() const;
   uint32_t tile_shard(uint32_t tile) const;
 

@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "isa/decoder.hpp"
-#include "runner/shard_gang.hpp"
 
 namespace mempool {
 
@@ -14,9 +13,9 @@ System::System(const ClusterConfig& cfg) : cfg_(cfg) {
 System::~System() = default;
 
 void System::configure_engine(EngineMode mode, unsigned sim_threads) {
-  // One-shot: re-configuring would have to tear down a live gang and
-  // un-shard the engine — no caller needs that, so fail loudly instead of
-  // supporting it subtly wrong.
+  // One-shot: re-configuring would have to un-shard the engine and stop its
+  // gang — no caller needs that, so fail loudly instead of supporting it
+  // subtly wrong.
   MEMPOOL_CHECK_MSG(!engine_configured_, "configure_engine called twice");
   engine_configured_ = true;
   switch (mode) {
@@ -27,9 +26,7 @@ void System::configure_engine(EngineMode mode, unsigned sim_threads) {
       engine_.set_dense(true);
       break;
     case EngineMode::kSharded:
-      gang_ = std::make_unique<runner::ShardGang>(sim_threads,
-                                                  cluster_->num_shards());
-      engine_.set_sharded(cluster_->num_shards(), gang_.get());
+      engine_.set_sharded(cluster_->num_shards(), sim_threads);
       break;
   }
 }

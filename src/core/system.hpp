@@ -15,10 +15,6 @@
 #include "sim/engine.hpp"
 #include "sim/shard.hpp"
 
-namespace mempool::runner {
-class ShardGang;
-}  // namespace mempool::runner
-
 namespace mempool {
 
 class System {
@@ -29,7 +25,7 @@ class System {
   /// Select the scheduler stepping this system (default: active). Sharded
   /// mode partitions the cluster along the fabric's groups and steps the
   /// shards on @p sim_threads threads (leader + helper threads owned by the
-  /// system), bit-identically to the sequential engines. Must be called
+  /// engine), bit-identically to the sequential engines. Must be called
   /// before the first run().
   void configure_engine(EngineMode mode, unsigned sim_threads = 1);
 
@@ -72,7 +68,6 @@ class System {
   ClusterConfig cfg_;
   InstrMem imem_;
   std::unique_ptr<Cluster> cluster_;
-  std::unique_ptr<runner::ShardGang> gang_;  // configure_engine(kSharded)
   Engine engine_;
   std::vector<isa::Instr> decoded_;
   uint32_t program_base_ = InstrMem::kBase;

@@ -170,13 +170,19 @@ bool write_all(int fd, const std::string& data) {
 }
 
 bool LineReader::read_line(std::string* line) {
+  std::size_t scanned = 0;  // bytes of buf_ already searched for '\n'
   for (;;) {
-    const std::size_t nl = buf_.find('\n');
+    const std::size_t nl = buf_.find('\n', scanned);
+    const std::size_t len = nl != std::string::npos ? nl : buf_.size();
+    MEMPOOL_CHECK_MSG(len <= kMaxLineBytes,
+                      "line longer than LineReader::kMaxLineBytes ("
+                          << kMaxLineBytes << " bytes)");
     if (nl != std::string::npos) {
       line->assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
       return true;
     }
+    scanned = buf_.size();
     if (eof_) return false;
     const NetioFaults faults = current_faults();
     const uint64_t op = g_read_ops.fetch_add(1, std::memory_order_relaxed) + 1;

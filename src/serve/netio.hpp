@@ -3,6 +3,7 @@
 // client. Deliberately minimal: blocking I/O, one helper per failure mode,
 // CheckError (with errno text) on anything unexpected.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -45,9 +46,15 @@ int connect_unix(const std::string& path, int timeout_ms = 0);
 bool write_all(int fd, const std::string& data);
 
 /// Buffered line reader over a blocking fd. read_line strips the trailing
-/// '\n' and returns false on EOF/error with the partial line discarded.
+/// '\n' and returns false on EOF/error with the partial line discarded. A
+/// line longer than kMaxLineBytes throws a CheckError naming the limit, so
+/// one peer cannot grow a reader's buffer without bound; the framing is
+/// lost after that, so the caller drops the connection.
 class LineReader {
  public:
+  /// Longest line accepted, without its '\n'.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   explicit LineReader(int fd) : fd_(fd) {}
   bool read_line(std::string* line);
 

@@ -168,9 +168,15 @@ void SimServer::accept_loop() {
 void SimServer::reader_loop(const std::shared_ptr<Conn>& conn) {
   LineReader reader(conn->fd);
   std::string line;
-  while (!stopping_.load() && reader.read_line(&line)) {
-    if (line.empty()) continue;
-    handle_line(conn, line);
+  try {
+    while (!stopping_.load() && reader.read_line(&line)) {
+      if (line.empty()) continue;
+      handle_line(conn, line);
+    }
+  } catch (const CheckError& e) {
+    // A line over LineReader::kMaxLineBytes: answer it, then drop this
+    // connection, whose framing is lost. The others keep being served.
+    respond(conn, error_response(Json(), e.what()));
   }
   std::lock_guard<std::mutex> lock(conn->write_mu);
   conn->done_reading = true;

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "runner/shard_gang.hpp"
+
 #if defined(MEMPOOL_DRC)
 #include "sim/drc_runtime.hpp"
 #endif
@@ -17,7 +19,7 @@ namespace mempool {
 namespace {
 /// Cycles whose previous cycle evaluated fewer components than this step
 /// their lanes inline on the calling thread: dispatching two phases to the
-/// executor costs on the order of a microsecond of barrier traffic, which
+/// gang costs on the order of a microsecond of barrier traffic, which
 /// light cycles (a mostly-idle cluster between Poisson arrivals) can never
 /// amortize. The choice depends only on simulation state — never on thread
 /// timing — so it cannot perturb results.
@@ -126,13 +128,15 @@ bool engine_mode_from_name(const std::string& name, EngineMode* out) {
 Engine::Engine() = default;
 Engine::~Engine() = default;
 
-void Engine::set_sharded(uint32_t num_shards, ShardExecutor* exec) {
+void Engine::set_sharded(uint32_t num_shards, unsigned sim_threads) {
   MEMPOOL_CHECK_MSG(!finalized_, "set_sharded after the first step");
   MEMPOOL_CHECK_MSG(!dense_,
                     "dense and sharded scheduling are mutually exclusive");
   MEMPOOL_CHECK_MSG(num_shards >= 1, "need at least one shard");
   num_shards_ = num_shards;
-  exec_ = exec;
+  gang_ = std::min<unsigned>(sim_threads, num_shards) > 1
+              ? std::make_unique<runner::ShardGang>(sim_threads, num_shards)
+              : nullptr;
 }
 
 namespace {
@@ -321,14 +325,14 @@ bool Engine::step_work() {
   timers_.fire(cycle_);
   const uint64_t te = profile_ ? prof_now_ns() : 0;
 
-  const bool parallel = exec_ != nullptr && exec_->threads() > 1 &&
-                        last_cycle_evals_ >= kDispatchThreshold;
+  const bool parallel =
+      gang_ != nullptr && last_cycle_evals_ >= kDispatchThreshold;
   uint64_t tc = 0;
   if (parallel) {
     ++parallel_cycles_;
-    exec_->run(lanes_.size(), [this](std::size_t s) { lane_evaluate(s); });
+    gang_->run(lanes_.size(), [this](std::size_t s) { lane_evaluate(s); });
     if (profile_) tc = prof_now_ns();
-    exec_->run(lanes_.size(), [this](std::size_t s) { lane_commit(s); });
+    gang_->run(lanes_.size(), [this](std::size_t s) { lane_commit(s); });
   } else {
     for (std::size_t s = 0; s < lanes_.size(); ++s) lane_evaluate(s);
     for (std::size_t s = 0; s < lanes_.size(); ++s) lane_commit(s);

@@ -47,6 +47,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -59,6 +60,10 @@
 #include "sim/component.hpp"
 #include "sim/elastic_buffer.hpp"
 #include "sim/shard.hpp"
+
+namespace mempool::runner {
+class ShardGang;
+}  // namespace mempool::runner
 
 namespace mempool {
 
@@ -149,13 +154,14 @@ class Engine {
   bool dense() const { return dense_; }
 
   /// Partition the registered components into @p num_shards lanes (by the
-  /// shard ids passed to add_component) and step them in parallel on
-  /// @p exec; a null executor — or one without spare threads — steps the
-  /// lanes one after another on the calling thread, still bit-identically.
-  /// @p exec, when given, must outlive every subsequent step()/run() call.
-  /// Must be called after the components are registered and before the
-  /// first step; mutually exclusive with set_dense(true).
-  void set_sharded(uint32_t num_shards, ShardExecutor* exec);
+  /// shard ids passed to add_component) and step them on
+  /// min(@p sim_threads, @p num_shards) threads: the calling thread plus the
+  /// helpers of a runner::ShardGang the engine owns, lane s on thread
+  /// s mod that count unless the calling thread finds it not yet started
+  /// after its own lanes. With one thread the lanes step one after
+  /// another on the calling thread, still bit-identically. Must be called
+  /// before the first step; mutually exclusive with set_dense(true).
+  void set_sharded(uint32_t num_shards, unsigned sim_threads);
   bool sharded() const { return num_shards_ != 0; }
   uint32_t num_shards() const { return num_shards_; }
 
@@ -235,7 +241,7 @@ class Engine {
   uint64_t commits() const;
   /// Cycles fast-forwarded by run() after quiescence was detected.
   uint64_t idle_cycles_skipped() const { return idle_cycles_skipped_; }
-  /// Cycles the sharded engine dispatched to the executor (vs. stepping the
+  /// Cycles the sharded engine dispatched to its gang (vs. stepping the
   /// lanes inline because the previous cycle was too light to pay the
   /// barrier for). Deterministic: depends only on simulation state.
   uint64_t parallel_cycles() const { return parallel_cycles_; }
@@ -323,7 +329,7 @@ class Engine {
 
   // --- sharded state ---------------------------------------------------------
   uint32_t num_shards_ = 0;  ///< 0 = sequential scheduling (one lane).
-  ShardExecutor* exec_ = nullptr;
+  std::unique_ptr<runner::ShardGang> gang_;  ///< Null: lanes step inline.
   /// Evaluations of the previous cycle: cycles lighter than the dispatch
   /// threshold step their lanes inline (the barrier would cost more than the
   /// work); purely simulation-state dependent, so the choice never affects

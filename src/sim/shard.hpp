@@ -32,7 +32,7 @@
 // consumes lands in the producer lane's outbox for that shard (a plain
 // vector per directed shard pair), and pops from a shard-boundary buffer
 // defer the producer-visible occupancy refresh (see ElasticBuffer) to the
-// commit phase. A full barrier (ShardExecutor::run) separates the phases, so
+// commit phase. A full barrier (ShardGang::run) separates the phases, so
 // an outbox is written only in its producer's evaluate phase (or by the
 // leader between steps) and read only in its consumer's commit phase, never
 // both at once. Commits of distinct buffers are independent and the only
@@ -55,7 +55,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <string>
 #include <utility>
@@ -285,22 +284,6 @@ class ShardLaneScope {
 
  private:
   ShardLane* prev_;
-};
-
-/// Executor the sharded engine hands its two per-cycle phases to. run() must
-/// invoke fn(s) exactly once for every s in [0, n) — possibly concurrently —
-/// and return only when all invocations completed, with their effects
-/// visible to the caller (a full barrier). The caller's thread may
-/// participate. runner::ShardGang is the production implementation (a
-/// reusable cycle barrier over its own helper threads); passing no executor
-/// runs the shards sequentially on the calling thread, which is
-/// bit-identical.
-class ShardExecutor {
- public:
-  virtual ~ShardExecutor() = default;
-  virtual void run(std::size_t n, const std::function<void(std::size_t)>& fn) = 0;
-  /// Worker threads this executor can bring to bear (1 = caller only).
-  virtual unsigned threads() const { return 1; }
 };
 
 }  // namespace mempool

@@ -9,7 +9,6 @@
 #include "core/cluster.hpp"
 #include "mem/imem.hpp"
 #include "noc/monitor.hpp"
-#include "runner/shard_gang.hpp"
 #include "sim/engine.hpp"
 #include "sim/snapshot.hpp"
 #include "traffic/generator.hpp"
@@ -35,9 +34,9 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
   // Sharded mode: every shard records into its own monitor (a shared one
   // would be written concurrently); the per-shard monitors merge exactly
   // after the run (see noc/monitor.hpp), so the reported point is
-  // bit-identical to the sequential engines'. The gang's helper threads are
-  // private to the point — sweep-level parallelism (runner --threads) and
-  // engine-level parallelism (--sim-threads) stay independent.
+  // bit-identical to the sequential engines'. The engine's helper threads
+  // are private to the point — sweep-level parallelism (runner --threads)
+  // and engine-level parallelism (--sim-threads) stay independent.
   const bool sharded = ecfg.engine == EngineMode::kSharded;
   const uint32_t num_monitors = sharded ? cluster.num_shards() : 1;
   std::deque<LatencyMonitor> monitors;
@@ -46,12 +45,7 @@ TrafficPoint run_traffic_point(const TrafficExperimentConfig& ecfg,
     monitors.back().set_measure_end(ecfg.warmup_cycles + ecfg.measure_cycles);
   }
 
-  std::unique_ptr<runner::ShardGang> gang;
-  if (sharded) {
-    gang = std::make_unique<runner::ShardGang>(ecfg.sim_threads,
-                                               cluster.num_shards());
-    engine.set_sharded(cluster.num_shards(), gang.get());
-  }
+  if (sharded) engine.set_sharded(cluster.num_shards(), ecfg.sim_threads);
 
   TrafficConfig tcfg;
   tcfg.lambda = ecfg.lambda;

@@ -30,9 +30,8 @@ DrcReport check_topology(const std::string& topology, const std::string& memory,
   engine.set_dense(mode == EngineMode::kDense);
   Cluster cluster(ccfg, &imem);
   if (mode == EngineMode::kSharded) {
-    // A null executor is valid (sequential fallback); the DRC never steps,
-    // so no thread pool is spun up.
-    engine.set_sharded(cluster.num_shards(), nullptr);
+    // One sim thread: the DRC never steps, so no helper thread is started.
+    engine.set_sharded(cluster.num_shards(), 1);
   }
 
   LatencyMonitor monitor(/*warmup=*/0);

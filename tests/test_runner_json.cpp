@@ -90,6 +90,32 @@ TEST(Json, ParseErrorsThrow) {
   EXPECT_THROW(Json::parse("'single'"), CheckError);
 }
 
+TEST(Json, NestingBeyondTheDepthLimitThrowsNamingIt) {
+  // The parser recurses once per level: 100,000 nested '[' (one 100 KB
+  // request line) used to overflow the stack and kill the process.
+  const std::size_t limit = Json::kMaxDepth;
+  auto nested = [](std::size_t depth, const char* open, const char* close) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += open;
+    s += "1";
+    for (std::size_t i = 0; i < depth; ++i) s += close;
+    return s;
+  };
+  EXPECT_NO_THROW(Json::parse(nested(limit, "[", "]")));
+  EXPECT_NO_THROW(Json::parse(nested(limit, "{\"a\":", "}")));
+  for (const std::string& deep :
+       {nested(limit + 1, "[", "]"), nested(limit + 1, "{\"a\":", "}"),
+        std::string(100000, '['), nested(100000, "[{\"a\":", "}]")}) {
+    try {
+      Json::parse(deep);
+      ADD_FAILURE() << "parsed " << deep.size() << " bytes of nesting";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("kMaxDepth"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Json, TypeMismatchesThrow) {
   EXPECT_THROW(Json(1).as_string(), CheckError);
   EXPECT_THROW(Json("x").as_int(), CheckError);

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <latch>
 #include <optional>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -239,7 +243,7 @@ TEST(ShardGang, BarrierPublishesAllEffectsToTheLeader) {
 
 TEST(ShardGang, WorksWithoutAnyHelpers) {
   // Degenerate but important: one sim thread means no helpers, and the
-  // leader claims every shard itself — same results, no deadlock.
+  // leader owns and runs every shard itself — same results, no deadlock.
   ShardGang gang(/*sim_threads=*/1, /*num_shards=*/8);
   EXPECT_EQ(gang.threads(), 1u);
   int sum = 0;
@@ -260,6 +264,157 @@ TEST(ShardGang, HelpersParkWhenTheGangIsIdle) {
   std::atomic<int> hits{0};
   gang.run(4, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 4);
+}
+
+namespace {
+
+/// Ends the process with a message when tick() has not been called for a
+/// few seconds: a hung gang round then fails its test quickly instead of at
+/// the ctest timeout (the hung leader can be neither unblocked nor joined).
+class StallWatchdog {
+ public:
+  explicit StallWatchdog(const char* what)
+      : thread_([this, what] { watch(what); }) {}
+  ~StallWatchdog() {
+    stop_.store(true);
+    thread_.join();
+  }
+  void tick() { ticks_.fetch_add(1, std::memory_order_relaxed); }
+
+ private:
+  void watch(const char* what) {
+    uint64_t last = 0;
+    auto since = std::chrono::steady_clock::now();
+    while (!stop_.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const uint64_t now = ticks_.load(std::memory_order_relaxed);
+      if (now != last) {
+        last = now;
+        since = std::chrono::steady_clock::now();
+      } else if (std::chrono::steady_clock::now() - since >
+                 std::chrono::seconds(5)) {
+        std::fprintf(stderr, "FAILED: %s: no progress for 5 s after %llu\n",
+                     what, static_cast<unsigned long long>(now));
+        std::_Exit(EXIT_FAILURE);
+      }
+    }
+  }
+
+  std::atomic<uint64_t> ticks_{0};
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+/// Busy-waits (sleep_for overshoots by tens of microseconds) for @p d.
+void spin_for(std::chrono::nanoseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// Runs one round of @p fn over @p n shards in which shard 0 — always the
+/// leader's — first waits until every shard a helper owns has started.
+/// Held there, the leader can take over none of them: each shard runs on
+/// its owner, and a helper that sleeps through the round hangs it.
+void run_owned_round(ShardGang& gang, std::size_t n,
+                     const std::function<void(std::size_t)>& fn) {
+  const unsigned t = gang.threads();
+  const std::size_t helper_shards = n - (n + t - 1) / t;
+  std::atomic<std::size_t> started{0};
+  gang.run(n, [&](std::size_t s) {
+    if (s % t != 0) {
+      started.fetch_add(1);
+    } else if (s == 0) {
+      while (started.load() < helper_shards) std::this_thread::yield();
+    }
+    fn(s);
+  });
+}
+
+}  // namespace
+
+TEST(ShardGang, EachShardRunsOnTheSameThreadEveryRound) {
+  // Ownership: participant p runs the shards s ≡ p (mod threads), the leader
+  // (the calling thread) being participant 0, so while every helper keeps
+  // up a shard's working set never migrates between host cores. Seven
+  // shards over four threads also covers the uneven split.
+  constexpr std::size_t kShards = 7;
+  ShardGang gang(/*sim_threads=*/4, /*num_shards=*/kShards);
+  ASSERT_EQ(gang.threads(), 4u);
+  StallWatchdog watchdog("ShardGang.EachShardRunsOnTheSameThreadEveryRound");
+  std::vector<std::thread::id> first(kShards);
+  std::vector<int> moved(kShards, 0);
+  for (int round = 0; round < 1000; ++round) {
+    run_owned_round(gang, kShards, [&](std::size_t s) {
+      const std::thread::id me = std::this_thread::get_id();
+      if (round == 0) first[s] = me;
+      if (me != first[s]) ++moved[s];
+    });
+    watchdog.tick();
+  }
+  EXPECT_EQ(first[0], std::this_thread::get_id());
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(moved[s], 0) << "shard " << s << " changed threads";
+    for (std::size_t t = 0; t < kShards; ++t) {
+      EXPECT_EQ(first[s] == first[t], s % 4 == t % 4)
+          << "shards " << s << " and " << t;
+    }
+  }
+}
+
+TEST(ShardGang, LeaderTakesOverShardsTheirOwnerHasNotStarted) {
+  // A helper that is busy, parked or descheduled must not hold the round
+  // up: once the leader has run its own shards it runs every shard nobody
+  // has started. Here the helper (owner of shards 1 and 3) is stuck in
+  // shard 1 until shard 3 has run, so only the leader can run shard 3.
+  ShardGang gang(/*sim_threads=*/2, /*num_shards=*/4);
+  StallWatchdog watchdog(
+      "ShardGang.LeaderTakesOverShardsTheirOwnerHasNotStarted");
+  std::vector<int> runs(4, 0);
+  for (int round = 0; round < 100; ++round) {
+    std::atomic<bool> third_ran{false};
+    gang.run(4, [&](std::size_t s) {
+      while (s == 1 && !third_ran.load()) std::this_thread::yield();
+      ++runs[s];
+      if (s == 3) third_ran.store(true);
+    });
+    watchdog.tick();
+  }
+  for (int r : runs) EXPECT_EQ(r, 100);
+}
+
+TEST(ShardGang, NoHelperSleepsThroughARound) {
+  // A helper that parks just as the leader publishes a round must still
+  // wake for it. The leader would cover for a sleeping helper by taking
+  // over its shards, so every round here holds the leader in its first
+  // shard until each helper has started (run_owned_round): a lost wake-up
+  // hangs the round. The gap between rounds hovers at the edge where
+  // helpers begin to park (their spin budget, whatever it is on this host
+  // and build): shorter after a round whose helpers parked, longer after
+  // one whose helpers did not, so they keep parking right around each
+  // publish.
+  constexpr std::size_t kShards = 4;
+  constexpr int kRounds = 20000;
+  ShardGang gang(/*sim_threads=*/4, /*num_shards=*/kShards);
+  StallWatchdog watchdog("ShardGang.NoHelperSleepsThroughARound");
+  std::vector<uint64_t> lane(kShards, 0);
+  std::mt19937_64 rng(26);
+  std::uniform_int_distribution<int64_t> jitter_ns(-1000, 1000);
+  int64_t gap_ns = 0;
+  uint64_t parked_rounds = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    const uint64_t parks = gang.park_events();
+    spin_for(std::chrono::nanoseconds(
+        std::max<int64_t>(0, gap_ns + jitter_ns(rng))));
+    run_owned_round(gang, kShards, [&](std::size_t s) { ++lane[s]; });
+    watchdog.tick();
+    const bool parked = gang.park_events() != parks;
+    parked_rounds += parked;
+    gap_ns += parked ? -250 : 250;
+  }
+  for (uint64_t n : lane) EXPECT_EQ(n, uint64_t{kRounds});
+  EXPECT_GT(parked_rounds, uint64_t{kRounds} / 10)
+      << "helpers rarely parked; the gap ended at " << gap_ns << " ns";
 }
 
 TEST(ShardGang, PropagatesTheFirstThrownError) {

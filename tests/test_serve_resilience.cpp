@@ -39,10 +39,10 @@ SimRequest mini_request(double lambda, uint64_t seed,
   return SimRequest::from_config(cfg);
 }
 
-/// A point long enough (hundreds of ms) that deadlines and mid-run kills
-/// land while it is still computing.
+/// A point long enough (a few hundred ms in a Release build) that
+/// deadlines, sheds and checkpoints land while it is still computing.
 SimRequest slow_request(uint64_t seed) {
-  return mini_request(0.05, seed, /*measure_cycles=*/2'000'000);
+  return mini_request(0.05, seed, /*measure_cycles=*/200'000);
 }
 
 std::string fresh_dir(const std::string& tag) {
@@ -157,7 +157,7 @@ TEST(ServiceCheckpoint, LongPointsPersistImagesAndCompleteCorrectly) {
   ServiceConfig cfg;
   cfg.threads = 1;
   cfg.cache_dir = dir;
-  cfg.checkpoint_every = 100'000;
+  cfg.checkpoint_every = 10'000;
   SimService service(cfg);
 
   const SimRequest req = slow_request(60);
@@ -178,13 +178,13 @@ TEST(ServiceCheckpoint, RestartedServiceResumesFromTheDiskImage) {
   const SimRequest req = slow_request(61);
 
   // Simulate a daemon that died mid-point: plant the checkpoint image a
-  // previous instance would have left behind (cycle 400k of ~2M).
+  // previous instance would have left behind (cycle 40k of ~200k).
   std::string image;
   CheckpointOptions capture;
-  capture.checkpoint_every = 400'000;
+  capture.checkpoint_every = 40'000;
   capture.key = req.key();
   capture.on_checkpoint = [&](uint64_t cycle, const std::string& img) {
-    if (image.empty() && cycle >= 400'000) image = img;
+    if (image.empty() && cycle >= 40'000) image = img;
   };
   const TrafficPoint expected = run_traffic_point(req.config, capture);
   ASSERT_FALSE(image.empty());
@@ -194,11 +194,11 @@ TEST(ServiceCheckpoint, RestartedServiceResumesFromTheDiskImage) {
   }
 
   // The "restarted" daemon picks the image up and finishes the point from
-  // cycle 400k — with a result bit-identical to the never-crashed run.
+  // cycle 40k — with a result bit-identical to the never-crashed run.
   ServiceConfig cfg;
   cfg.threads = 1;
   cfg.cache_dir = dir;
-  cfg.checkpoint_every = 400'000;
+  cfg.checkpoint_every = 40'000;
   SimService service(cfg);
   const ServiceResponse resp = service.run(req);
   ASSERT_TRUE(resp.ok) << resp.error;

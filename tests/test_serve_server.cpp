@@ -4,10 +4,13 @@
 // connection or the daemon), id echo, metrics/ping ops, and clean shutdown.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <string>
+#include <thread>
 
 #include "common/check.hpp"
 #include "serve/client.hpp"
@@ -143,6 +146,85 @@ TEST(SimServer, MalformedLinesGetErrorResponsesAndTheConnectionSurvives) {
     EXPECT_TRUE(resp.at("ok").as_bool());
     EXPECT_EQ(resp.at("id").as_string(), "still-alive");  // non-numeric ids ok
     ::close(fd);
+  }
+  server.stop();
+  server.wait();
+}
+
+TEST(LineReader, ALineOverTheLimitThrowsNamingIt) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::size_t limit = LineReader::kMaxLineBytes;
+  // The writer blocks once the socket buffer fills, so it gets a thread;
+  // closing the reader's end fails its last send instead of hanging it.
+  std::thread writer([&] {
+    write_all(fds[1], "short\n" + std::string(limit, 'x') + "\n" +
+                          std::string(limit + 1, 'y') + "\n");
+    ::close(fds[1]);
+  });
+  LineReader reader(fds[0]);
+  std::string line;
+  ASSERT_TRUE(reader.read_line(&line));
+  EXPECT_EQ(line, "short");
+  ASSERT_TRUE(reader.read_line(&line));
+  EXPECT_EQ(line.size(), limit);
+  try {
+    reader.read_line(&line);
+    ADD_FAILURE() << "returned a line of " << line.size() << " bytes";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxLineBytes"), std::string::npos)
+        << e.what();
+  }
+  ::close(fds[0]);
+  writer.join();
+}
+
+TEST(SimServer, HostileLinesAreAnsweredAndOtherConnectionsKeepServing) {
+  const std::string path = test_socket("hostile");
+  SimServer server(server_config(path));
+  server.start();
+  {
+    std::string line;
+    // Nesting past Json::kMaxDepth is a bad-JSON line like any other: it is
+    // answered, and the connection keeps serving.
+    const int deep_fd = connect_unix(path, 2000);
+    LineReader deep(deep_fd);
+    ASSERT_TRUE(write_all(deep_fd, std::string(100000, '[') + "\n"));
+    ASSERT_TRUE(deep.read_line(&line));
+    Json resp = Json::parse(line);
+    EXPECT_FALSE(resp.at("ok").as_bool());
+    EXPECT_NE(resp.at("error").as_string().find("bad JSON"),
+              std::string::npos);
+    EXPECT_NE(resp.at("error").as_string().find("kMaxDepth"),
+              std::string::npos);
+    ASSERT_TRUE(write_all(deep_fd, "{\"op\": \"ping\", \"id\": 1}\n"));
+    ASSERT_TRUE(deep.read_line(&line));
+    EXPECT_TRUE(Json::parse(line).at("ok").as_bool());
+
+    // A line over LineReader::kMaxLineBytes is answered, and then its
+    // connection is closed: the rest of the line cannot be framed. The
+    // receive timeout bounds the wait for that close.
+    const int long_fd = connect_unix(path, 2000);
+    const timeval tv{10, 0};
+    ::setsockopt(long_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    LineReader overlong(long_fd);
+    // The server stops reading mid-line, so this send may fail part way.
+    write_all(long_fd, std::string(LineReader::kMaxLineBytes + 1, 'x') + "\n");
+    ASSERT_TRUE(overlong.read_line(&line));
+    resp = Json::parse(line);
+    EXPECT_FALSE(resp.at("ok").as_bool());
+    EXPECT_NE(resp.at("error").as_string().find("kMaxLineBytes"),
+              std::string::npos);
+    EXPECT_FALSE(overlong.read_line(&line)) << "connection left open";
+    ::close(long_fd);
+
+    // The daemon still answers on its other connections.
+    ASSERT_TRUE(write_all(deep_fd, "{\"op\": \"ping\", \"id\": 2}\n"));
+    ASSERT_TRUE(deep.read_line(&line));
+    EXPECT_TRUE(Json::parse(line).at("ok").as_bool());
+    SimClient client(path, 2000);
+    EXPECT_TRUE(client.ping());
+    ::close(deep_fd);
   }
   server.stop();
   server.wait();

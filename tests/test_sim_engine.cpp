@@ -208,7 +208,7 @@ TEST_P(EngineStaging, PushBeforeTheFirstStepLatchesAtTheFirstCommit) {
   engine.add_component(&cons, /*shard=*/1);
   engine.add_clocked(&buf, /*shard=*/1);
   if (GetParam() == EngineMode::kDense) engine.set_dense(true);
-  if (GetParam() == EngineMode::kSharded) engine.set_sharded(2, nullptr);
+  if (GetParam() == EngineMode::kSharded) engine.set_sharded(2, 1);
 
   buf.push(7);
   engine.step();
@@ -229,7 +229,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, EngineStaging,
                          });
 
 TEST(Engine, InlineShardedProfileChargesNoBarrier) {
-  // Without an executor the sharded engine steps its lanes one after another
+  // On one sim thread the sharded engine steps its lanes one after another
   // on the calling thread: nobody waits at a barrier, so the profile charges
   // the lanes' busy time to the work phases and nothing to "barrier".
   Engine engine;
@@ -241,7 +241,7 @@ TEST(Engine, InlineShardedProfileChargesNoBarrier) {
   engine.add_component(&prod, /*shard=*/0);
   engine.add_component(&cons, /*shard=*/1);
   engine.add_clocked(&buf, /*shard=*/1);
-  engine.set_sharded(2, nullptr);
+  engine.set_sharded(2, 1);
   engine.set_profile(true);
   engine.run(300);
   ASSERT_EQ(cons.received.size(), 200u);

@@ -84,9 +84,10 @@ INSTANTIATE_TEST_SUITE_P(Topologies, EngineEquivalence,
 
 // Sharded-vs-active bit-identity over every registered topology × sim-thread
 // count × load. Thread count 1 exercises the inline (leader-only) lanes path,
-// 2 a partially-helped gang, 8 more threads than any built-in fabric has
-// shards (the gang caps at the shard count). The flat fabrics run the
-// sharded engine degenerately on one shard — also worth pinning.
+// 2 a partially-helped gang, 3 an uneven split (over four shards the leader
+// owns lanes 0 and 3), 8 more threads than any built-in fabric has shards
+// (the gang caps at the shard count). The flat fabrics run the sharded
+// engine degenerately on one shard — also worth pinning.
 class ShardedEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, unsigned>> {};
 
@@ -103,7 +104,7 @@ TEST_P(ShardedEquivalence, Fig5PointsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     TopologiesTimesThreads, ShardedEquivalence,
     ::testing::Combine(::testing::ValuesIn(FabricRegistry::names()),
-                       ::testing::Values(1u, 2u, 8u)),
+                       ::testing::Values(1u, 2u, 3u, 8u)),
     [](const auto& tpinfo) {
       return std::get<0>(tpinfo.param) + "_t" +
              std::to_string(std::get<1>(tpinfo.param));
@@ -473,7 +474,7 @@ TEST(ShardedEquivalenceWork, ShardedEvaluatesExactlyLikeActive) {
     Engine engine;
     Cluster cluster(cfg.cluster, &imem);
     if (mode == EngineMode::kSharded) {
-      engine.set_sharded(cluster.num_shards(), nullptr);
+      engine.set_sharded(cluster.num_shards(), 1);
     }
     LatencyMonitor monitor(0);
     TrafficConfig tcfg;

@@ -331,7 +331,7 @@ enum class Mode { kActive, kDense, kSharded };
 
 void configure(Engine* e, Mode m) {
   if (m == Mode::kDense) e->set_dense(true);
-  if (m == Mode::kSharded) e->set_sharded(1, nullptr);
+  if (m == Mode::kSharded) e->set_sharded(1, 1);
 }
 
 class WatchdogFires : public ::testing::TestWithParam<Mode> {};
